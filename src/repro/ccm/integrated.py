@@ -176,6 +176,15 @@ class IntegratedCcmSlotProvider(StackSlotProvider):
         #: *temp's* live range, so owner conflicts must be checked
         #: against the temps too, not just the owner's shrunken range.
         self.temp_origin: Dict[VirtualReg, VirtualReg] = {}
+        #: the CCM size enters the allocation only through the accept
+        #: test in :meth:`_find_ccm_offset`, which compares a first-fit
+        #: range end (chosen without looking at the size) against it.
+        #: Any size in [accepted_end, rejected_end) makes every such
+        #: test come out the same, so the allocation is exact for it.
+        #: ``accepted_end`` counts ranges whose spill code is elided
+        #: later too; ``rejected_end`` stays None without a rejection.
+        self.accepted_end = 0
+        self.rejected_end: Optional[int] = None
 
     def begin_round(self, live_across_call: Set) -> None:
         self._round = []
@@ -229,8 +238,12 @@ class IntegratedCcmSlotProvider(StackSlotProvider):
         for start, bsize in blocked:
             if offset < start + bsize and start < offset + size:
                 offset = (start + bsize + size - 1) & ~(size - 1)
-        if offset + size > self.machine.ccm_bytes:
+        end = offset + size
+        if end > self.machine.ccm_bytes:
+            if self.rejected_end is None or end < self.rejected_end:
+                self.rejected_end = end
             return None
+        self.accepted_end = max(self.accepted_end, end)
         return offset
 
 
@@ -258,7 +271,8 @@ def allocate_function_integrated(fn: Function, machine: MachineConfig,
                                  engine: Optional[str] = None,
                                  rematerialize: bool = True):
     """Allocate ``fn`` with integrated CCM spilling; returns the
-    :class:`~repro.regalloc.chaitin_briggs.AllocationResult`.
+    :class:`~repro.regalloc.chaitin_briggs.AllocationResult`, whose
+    ``ccm_exact_sizes`` holds the CCM sizes the allocation is exact for.
 
     ``engine`` selects the allocator backend (default: the process-wide
     ``REPRO_REGALLOC_ENGINE``); the SSA backend plugs the same CCM slot
@@ -266,11 +280,15 @@ def allocate_function_integrated(fn: Function, machine: MachineConfig,
     from ..regalloc.engine import regalloc_engine, spill_mode_for
     engine = engine or regalloc_engine()
     if engine == "chaitin":
-        return IntegratedCcmAllocator(fn, machine,
-                                      rematerialize=rematerialize).run()
-    from ..regalloc.ssa import SsaAllocator
-    return SsaAllocator(fn, machine,
-                        slot_provider=IntegratedCcmSlotProvider(fn, machine),
-                        graph_hook=CcmGraphHook(),
-                        rematerialize=rematerialize,
-                        spill_mode=spill_mode_for(engine)).run()
+        allocator = IntegratedCcmAllocator(fn, machine,
+                                           rematerialize=rematerialize)
+    else:
+        from ..regalloc.ssa import SsaAllocator
+        allocator = SsaAllocator(
+            fn, machine, slot_provider=IntegratedCcmSlotProvider(fn, machine),
+            graph_hook=CcmGraphHook(), rematerialize=rematerialize,
+            spill_mode=spill_mode_for(engine))
+    result = allocator.run()
+    provider = allocator.slot_provider
+    result.ccm_exact_sizes = (provider.accepted_end, provider.rejected_end)
+    return result

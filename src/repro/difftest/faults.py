@@ -78,3 +78,19 @@ def ccm_alias(program: Program) -> None:
         for instr in block.instructions:
             if instr.meta.is_ccm:
                 instr.imm = 0
+
+
+@fault("ccm_slot_past_limit")
+def ccm_slot_past_limit(program: Program) -> None:
+    """Out-of-bounds CCM slot: the highest CCM slot of the entry
+    function moves 1 MiB up, past any configured CCM — every store and
+    load of it together, so the values still agree and only the bound is
+    broken.  This is what a CCM-size reuse bug would produce: an
+    allocation replayed at a size its accepted ranges do not fit."""
+    accesses = [instr for block in program.entry.blocks
+                for instr in block.instructions if instr.meta.is_ccm]
+    if accesses:
+        top = max(instr.imm for instr in accesses)
+        for instr in accesses:
+            if instr.imm == top:
+                instr.imm += 1 << 20

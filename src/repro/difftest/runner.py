@@ -30,18 +30,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..ccm import (allocate_function_integrated, compact_spill_memory,
-                   promote_spills_postpass)
 from ..exec import ArtifactCache, StageClock, SweepStats, run_jobs
 from ..exec.batching import group_batches
 from ..exec.compare import values_match as _values_match
+from ..exec.stages import StageCache
 from ..frontend import compile_source
 from ..ir import Program, verify_program
 from ..machine import (BatchMember, BatchSimulation, BatchSplit,
                        MachineConfig, RunStats, SimulationError, Simulator,
                        batch_key, sim_engine)
-from ..opt import optimize_program
-from ..regalloc import allocate_function, lower_calling_convention
 from ..trace import TraceRecorder, recording
 from .gen import generate_source
 
@@ -208,101 +205,23 @@ class FuzzReport:
 # -- compilation under a config ------------------------------------------------
 
 
-class _StageCache:
-    """Shares compilation work across lattice points.
-
-    The pipeline up to register allocation is identical for every config
-    with the same (optimize, geometry) pair, and the baseline allocation
-    is further shared by the baseline and both post-pass variants — the
-    post-pass only retargets spill instructions after allocation.  Each
-    level caches a compiled snapshot; config-specific passes run on a
-    :meth:`Program.clone` so the snapshot stays pristine.  This turns
-    ~50 full compiles per seed into 2 optimize+lower runs, ~10 register
-    allocations, and cheap per-config promotion/compaction passes.
-    """
-
-    def __init__(self, program: Program):
-        self.program = program
-        self._lowered: Dict[tuple, Program] = {}
-        self._allocated: Dict[tuple, Program] = {}
-        self._integrated: Dict[tuple, Program] = {}
-
-    def lowered(self, optimize: bool, geometry: str) -> Program:
-        key = (optimize, geometry)
-        if key not in self._lowered:
-            prog = self.program.clone()
-            if optimize:
-                optimize_program(prog)
-            machine = MachineConfig(**GEOMETRIES[geometry])
-            for fn in prog.functions.values():
-                lower_calling_convention(fn, machine)
-            self._lowered[key] = prog
-        return self._lowered[key]
-
-    def allocated(self, optimize: bool, geometry: str,
-                  allocator: Optional[str] = None,
-                  rematerialize: bool = True) -> Program:
-        """Baseline (stack-spilling) allocation of the lowered program."""
-        key = (optimize, geometry, allocator, rematerialize)
-        if key not in self._allocated:
-            prog = self.lowered(optimize, geometry).clone()
-            machine = MachineConfig(**GEOMETRIES[geometry])
-            for fn in prog.functions.values():
-                allocate_function(fn, machine, rematerialize=rematerialize,
-                                  engine=allocator)
-            self._allocated[key] = prog
-        return self._allocated[key]
-
-    def integrated(self, optimize: bool, geometry: str, ccm_bytes: int,
-                   allocator: Optional[str] = None,
-                   rematerialize: bool = True) -> Program:
-        """Integrated allocation — depends on the CCM size but not on
-        compaction, which runs after allocation."""
-        key = (optimize, geometry, ccm_bytes, allocator, rematerialize)
-        if key not in self._integrated:
-            prog = self.lowered(optimize, geometry).clone()
-            machine = MachineConfig(ccm_bytes=ccm_bytes,
-                                    **GEOMETRIES[geometry])
-            for fn in prog.functions.values():
-                allocate_function_integrated(fn, machine, engine=allocator,
-                                             rematerialize=rematerialize)
-            self._integrated[key] = prog
-        return self._integrated[key]
-
-
-def finalize_config(stages: _StageCache,
+def finalize_config(stages: StageCache,
                     config: DiffConfig) -> Tuple[Program, MachineConfig]:
-    """The fully compiled program for one lattice point."""
+    """The fully compiled, verified program for one lattice point."""
     machine = _machine_for(config)
-    if config.variant == "integrated":
-        program = stages.integrated(config.optimize, config.geometry,
-                                    config.ccm_bytes, config.allocator,
-                                    config.rematerialize).clone()
-        if config.compaction:
-            for fn in program.functions.values():
-                compact_spill_memory(fn)
-    else:
-        program = stages.allocated(config.optimize, config.geometry,
-                                   config.allocator,
-                                   config.rematerialize).clone()
-        if config.variant == "postpass":
-            promote_spills_postpass(program, machine, interprocedural=False,
-                                    compact_heavyweights=config.compaction)
-        elif config.variant == "postpass_cg":
-            promote_spills_postpass(program, machine, interprocedural=True,
-                                    compact_heavyweights=config.compaction)
-        elif config.compaction:
-            for fn in program.functions.values():
-                compact_spill_memory(fn)
-    verify_program(program)
+    program = stages.compile(machine, config.variant,
+                             optimize=config.optimize,
+                             engine=config.allocator,
+                             rematerialize=config.rematerialize,
+                             compaction=config.compaction)
     return program, machine
 
 
 def compile_config(program: Program, config: DiffConfig
                    ) -> Tuple[Program, MachineConfig]:
     """Compile ``program`` under one config (standalone entry point;
-    ``check_source`` goes through a shared :class:`_StageCache`)."""
-    return finalize_config(_StageCache(program), config)
+    ``check_source`` shares one :class:`StageCache` across the lattice)."""
+    return finalize_config(StageCache(program), config)
 
 
 # -- execution -----------------------------------------------------------------
@@ -430,7 +349,7 @@ def check_source(source: str, configs: Optional[Sequence[DiffConfig]] = None,
         result.skipped = f"reference machine error: {exc}"
         return _record(artifacts, key, result)
 
-    stages = _StageCache(base)
+    stages = StageCache(base)
     if sim_engine() == "batch":
         divergences = _check_all_batched(stages, configs, reference,
                                          fault, clock)
@@ -474,7 +393,7 @@ def _record(artifacts: Optional[ArtifactCache], key: Optional[str],
     return result
 
 
-def _check_one(stages: _StageCache, config: DiffConfig, reference: Outcome,
+def _check_one(stages: StageCache, config: DiffConfig, reference: Outcome,
                baseline_spill: Dict[tuple, int],
                fault: FaultFn = None,
                clock: Optional[StageClock] = None) -> Optional[Divergence]:
@@ -547,7 +466,7 @@ def _judge(config: DiffConfig, outcome: Outcome, reference: Outcome,
     return None
 
 
-def _check_all_batched(stages: _StageCache, configs: Sequence[DiffConfig],
+def _check_all_batched(stages: StageCache, configs: Sequence[DiffConfig],
                        reference: Outcome, fault: FaultFn = None,
                        clock: Optional[StageClock] = None
                        ) -> List[Divergence]:

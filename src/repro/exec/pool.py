@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["JobPool", "default_jobs", "run_jobs"]
@@ -193,28 +192,28 @@ class JobPool:
             self._outstanding.clear()
         for future in pending:
             future.cancel()
-        # snapshot the worker processes BEFORE shutdown: the executor
-        # drops its _processes reference during shutdown(wait=False)
+        # snapshot the workers and the executor's manager thread BEFORE
+        # shutdown: the executor drops both references during
+        # shutdown(wait=False)
         procs = getattr(pool, "_processes", None)
         processes = list(procs.values()) if procs else []
+        manager = getattr(pool, "_executor_manager_thread", None)
         pool.shutdown(wait=False, cancel_futures=True)
-        deadline = (time.monotonic() + timeout) if timeout is not None \
-            else None
-        clean = True
-        for proc in processes:
-            remaining = (None if deadline is None
-                         else max(0.0, deadline - time.monotonic()))
-            proc.join(remaining)
-            if proc.is_alive():
-                clean = False
-                proc.terminate()
-        for proc in processes:
-            if not proc.is_alive():
-                continue
-            proc.join(1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(1.0)
+        # The manager thread reaps every worker once the pool has
+        # drained, so waiting for that thread is waiting for the drain.
+        # Joining the workers from here as well would race it: two
+        # threads calling waitpid() on one pid, where the loser gets
+        # ECHILD and reports an exited worker as still alive.
+        clean = _join(manager, timeout)
+        if not clean:
+            for proc in processes:
+                if not _exited(proc):
+                    proc.terminate()
+            if not _join(manager, 1.0):
+                for proc in processes:
+                    if not _exited(proc):
+                        proc.kill()
+                _join(manager, 1.0)
         return clean
 
     def shutdown(self) -> None:
@@ -227,3 +226,20 @@ class JobPool:
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
+
+
+def _join(thread: Optional[threading.Thread],
+          timeout: Optional[float]) -> bool:
+    """Join ``thread`` for up to ``timeout`` seconds; True once it has
+    finished (or never existed)."""
+    if thread is None:
+        return True
+    thread.join(timeout)
+    return not thread.is_alive()
+
+
+def _exited(proc) -> bool:
+    """Whether a worker has exited, read from its sentinel pipe so the
+    check never calls waitpid() (the manager thread owns reaping)."""
+    from multiprocessing.connection import wait
+    return bool(wait([proc.sentinel], 0))

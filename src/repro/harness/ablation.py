@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..exec import ArtifactCache, StageClock, SweepStats, run_jobs
+from ..exec.stages import StageCache
 from ..ir import format_program
 from ..machine import (BatchMember, BatchSimulation, CacheConfig, DataCache,
                        MachineConfig, sim_engine)
 from ..machine.simulator import Simulator
 from ..workloads.suite import build_routine
-from .experiment import compile_program
 
 #: intentionally small so spill traffic visibly competes with data
 SMALL_CACHE = CacheConfig(size_bytes=1024, line_bytes=32, associativity=1,
@@ -115,45 +115,6 @@ class AblationResult:
         return "\n".join(lines)
 
 
-def _ablation_job(item: Tuple[str, str], machine: MachineConfig,
-                  cache_root: Optional[str], cache_version: Optional[str]
-                  ) -> Tuple[AblationCell, dict]:
-    """One pool job: one (routine, ablation config) cell."""
-    routine, config_name = item
-    variant, cache_config = CONFIGS[config_name]
-    clock = StageClock()
-    artifacts = (ArtifactCache(cache_root, version=cache_version)
-                 if cache_root is not None else None)
-    with clock.stage("build"):
-        prog = build_routine(routine)
-    key = None
-    if artifacts is not None:
-        key = _cell_key(artifacts, format_program(prog), config_name,
-                        machine)
-        hit, cached = artifacts.get(key)
-        if hit:
-            payload = clock.to_payload(cache_hit=True)
-            payload["cache_errors"] = artifacts.errors
-            payload["cache_stores"] = artifacts.stores
-            return cached, payload
-    with clock.stage("compile"):
-        compile_program(prog, machine, variant)
-    with clock.stage("simulate"):
-        cache = DataCache(cache_config)
-        run = Simulator(prog, machine, cache=cache,
-                        poison_caller_saved=True).run()
-    cell = AblationCell(routine, config_name, run.stats.cycles,
-                        run.stats.memory_cycles, cache.stats.hit_rate,
-                        cache.stats.effective_hit_rate)
-    if artifacts is not None:
-        artifacts.put(key, cell)
-    payload = clock.to_payload(cache_hit=False)
-    if artifacts is not None:
-        payload["cache_errors"] = artifacts.errors
-        payload["cache_stores"] = artifacts.stores
-    return cell, payload
-
-
 def _cell_key(artifacts: ArtifactCache, program_text: str, config_name: str,
               machine: MachineConfig) -> str:
     variant, cache_config = CONFIGS[config_name]
@@ -162,57 +123,69 @@ def _cell_key(artifacts: ArtifactCache, program_text: str, config_name: str,
         f"ablation:{config_name}:{variant}:{cache_config!r}:{machine!r}")
 
 
-def _ablation_batch_job(item: Tuple[str, str, Tuple[str, ...]],
-                        machine: MachineConfig,
-                        cache_root: Optional[str],
-                        cache_version: Optional[str]
-                        ) -> Tuple[List[AblationCell], dict]:
-    """One pool job under the batch engine: every ablation config of
-    one (routine, variant) pair, simulated in a single shared pass.
+def _ablation_job(routine: str, machine: MachineConfig, batch: bool,
+                  cache_root: Optional[str], cache_version: Optional[str]
+                  ) -> List[Tuple[AblationCell, dict]]:
+    """One pool job: every ablation cell of one routine, as
+    ``[(cell, timing payload)]`` in :data:`CONFIGS` order.
 
-    The grid's grouping is static — all four cache ablations run the
+    The routine is built once and compiled once per variant through one
+    :class:`StageCache` (the baseline allocation is shared by every
+    variant).  ``batch`` simulates each variant's cells in one shared
+    :class:`BatchSimulation` pass — the four cache ablations run the
     identical baseline-compiled routine and differ only in their
     attached cache, which is exactly the batch engine's fan-out axis —
-    so each cell is bit-identical to its scalar ``_ablation_job``
-    counterpart (the artifact-cache keys are the same, per cell).
+    instead of one scalar run per cell; the cells are bit-identical
+    either way.  Artifact-cache keys and payloads are per cell.
     """
-    routine, variant, config_names = item
-    clock = StageClock()
+    clocks = {name: StageClock() for name in CONFIGS}
     artifacts = (ArtifactCache(cache_root, version=cache_version)
                  if cache_root is not None else None)
-    with clock.stage("build"):
+    with clocks[next(iter(CONFIGS))].stage("build"):
         prog = build_routine(routine)
     cells: Dict[str, AblationCell] = {}
     keys: Dict[str, str] = {}
     if artifacts is not None:
         text = format_program(prog)
-        for name in config_names:
+        for name in CONFIGS:
             keys[name] = _cell_key(artifacts, text, name, machine)
             hit, cached = artifacts.get(keys[name])
             if hit:
                 cells[name] = cached
-    missing = [name for name in config_names if name not in cells]
-    if missing:
+    served = set(cells)
+    missing: Dict[str, List[str]] = {}
+    for name, (variant, _) in CONFIGS.items():
+        if name not in cells:
+            missing.setdefault(variant, []).append(name)
+    stages = StageCache(prog)
+    for variant, names in missing.items():
+        clock = clocks[names[0]]
         with clock.stage("compile"):
-            compile_program(prog, machine, variant)
+            compiled = stages.compile(machine, variant)
         with clock.stage("simulate"):
-            batch = BatchSimulation(
-                prog, [BatchMember(machine, CONFIGS[name][1])
-                       for name in missing],
-                poison_caller_saved=True)
-            runs = batch.run()
-        for name, run in zip(missing, runs):
+            if batch:
+                runs = BatchSimulation(
+                    compiled, [BatchMember(machine, CONFIGS[name][1])
+                               for name in names],
+                    poison_caller_saved=True).run()
+            else:
+                runs = [Simulator(compiled, machine,
+                                  cache=DataCache(CONFIGS[name][1]),
+                                  poison_caller_saved=True).run()
+                        for name in names]
+        for name, run in zip(names, runs):
             cstats = run.stats.cache
             cells[name] = AblationCell(
                 routine, name, run.stats.cycles, run.stats.memory_cycles,
                 cstats.hit_rate, cstats.effective_hit_rate)
             if artifacts is not None:
                 artifacts.put(keys[name], cells[name])
-    payload = clock.to_payload(cache_hit=not missing)
+    rows = [(cells[name], clocks[name].to_payload(cache_hit=name in served))
+            for name in CONFIGS]
     if artifacts is not None:
-        payload["cache_errors"] = artifacts.errors
-        payload["cache_stores"] = artifacts.stores
-    return [cells[name] for name in config_names], payload
+        rows[-1][1]["cache_errors"] = artifacts.errors
+        rows[-1][1]["cache_stores"] = artifacts.stores
+    return rows
 
 
 def run_ablation(routines: Optional[List[str]] = None,
@@ -221,34 +194,14 @@ def run_ablation(routines: Optional[List[str]] = None,
                  artifacts: Optional[ArtifactCache] = None,
                  stats: Optional[SweepStats] = None) -> AblationResult:
     machine = machine or MachineConfig(ccm_bytes=1024)
-    cache_root = artifacts.root if artifacts is not None else None
-    cache_version = artifacts.version if artifacts is not None else None
+    job = functools.partial(
+        _ablation_job, machine=machine, batch=sim_engine() == "batch",
+        cache_root=artifacts.root if artifacts is not None else None,
+        cache_version=artifacts.version if artifacts is not None else None)
     cells: List[AblationCell] = []
-    if sim_engine() == "batch":
-        # one job per (routine, variant): its configs share one pass
-        grouped: Dict[Tuple[str, str], List[str]] = {}
-        for routine in (routines or DEFAULT_ROUTINES):
-            for config_name, (variant, _) in CONFIGS.items():
-                grouped.setdefault((routine, variant), []).append(config_name)
-        batch_items = [(routine, variant, tuple(names))
-                       for (routine, variant), names in grouped.items()]
-        batch_job = functools.partial(
-            _ablation_batch_job, machine=machine,
-            cache_root=cache_root, cache_version=cache_version)
-        for _, (group_cells, payload) in run_jobs(batch_job, batch_items,
-                                                  jobs=jobs):
-            cells.extend(group_cells)
+    for _, rows in run_jobs(job, routines or DEFAULT_ROUTINES, jobs=jobs):
+        for cell, payload in rows:
+            cells.append(cell)
             if stats is not None:
                 stats.merge_job(payload)
-        return AblationResult(cells)
-    items = [(routine, config_name)
-             for routine in (routines or DEFAULT_ROUTINES)
-             for config_name in CONFIGS]
-    job = functools.partial(
-        _ablation_job, machine=machine,
-        cache_root=cache_root, cache_version=cache_version)
-    for _, (cell, payload) in run_jobs(job, items, jobs=jobs):
-        cells.append(cell)
-        if stats is not None:
-            stats.merge_job(payload)
     return AblationResult(cells)

@@ -139,7 +139,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "ablation"])
     for target in targets:
         if target == "table1":
-            print(table1(workloads, jobs=jobs).format())
+            print(table1(workloads, jobs=jobs, stats=runner.stats).format())
         elif target == "table2":
             print(table2(runner, args.ccm, workloads).format())
         elif target == "table3":
@@ -148,13 +148,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(table4(runner, workloads).format())
         elif target == "fig3":
             fig = figure(program_runner(jobs=jobs, artifacts=artifacts,
-                                        trace=trace, recorder=recorder), 512)
+                                        trace=trace, recorder=recorder,
+                                        stats=runner.stats), 512)
             print(fig.format())
             print()
             print(fig.render_bars())
         elif target == "fig4":
             fig = figure(program_runner(jobs=jobs, artifacts=artifacts,
-                                        trace=trace, recorder=recorder),
+                                        trace=trace, recorder=recorder,
+                                        stats=runner.stats),
                          1024)
             print(fig.format())
             print()

@@ -10,12 +10,16 @@ Variants (the paper's four columns):
                        allocator ("Post-Pass w/ Call Graph")
 * ``integrated``     — CCM spilling inside the allocator ("Integrated")
 
-Results are memoized per (workload, variant, CCM size) because every
-table and figure slices the same underlying runs.  Under the in-memory
-memo sit the two layers of :mod:`repro.exec`: ``jobs > 1`` fans
-uncached (workload, variant) jobs out over worker processes, and an
-:class:`~repro.exec.ArtifactCache` persists finished results across
-CLI invocations, keyed by the workload's printed IR + the pipeline
+Results are memoized per (workload, variant, CCM size) cell because
+every table and figure slices the same underlying runs.  Uncached cells
+are computed one job per workload: the job compiles all of that
+workload's requested cells through one
+:class:`~repro.exec.stages.StageCache`, so the frontend, optimizer and
+baseline allocator run once for the lot.  Under the in-memory memo sit
+the two layers of :mod:`repro.exec`: ``jobs > 1`` fans the workload
+jobs out over worker processes, and an
+:class:`~repro.exec.ArtifactCache` persists finished cells across CLI
+invocations, keyed by the workload's printed IR + the cell's pipeline
 configuration + the package code version.  Both layers are exact: a
 parallel or cache-served sweep reports bit-identical rows to a cold
 serial one.
@@ -25,21 +29,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..ccm import (allocate_function_integrated, compact_spill_memory,
-                   promote_spills_postpass)
+from ..ccm import compact_spill_memory
 from ..exec import ArtifactCache, StageClock, SweepStats, run_jobs
 from ..exec.compare import values_match
-from ..ir import Program, format_program, verify_program
+from ..exec.stages import VARIANTS, StageCache, compile_program
+from ..ir import Program, format_program
 from ..machine import (DataCache, MachineConfig, RunStats, Simulator,
                        PAPER_MACHINE_512, PAPER_MACHINE_1024)
-from ..opt import optimize_program
-from ..regalloc import allocate_function, lower_calling_convention
 from ..trace import TraceRecorder, recording
 from ..workloads.suite import build_routine, suite_names
-
-VARIANTS = ("baseline", "postpass", "postpass_cg", "integrated")
 
 #: backwards-compatible alias; the definition lives in repro.exec.compare
 #: so the harness verifier and the difftest oracle share one tolerance
@@ -83,26 +83,6 @@ class VariantResult:
         }
 
 
-def compile_program(prog: Program, machine: MachineConfig,
-                    variant: str) -> None:
-    """Optimize, lower, and allocate every function of ``prog`` in place
-    under the given variant."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
-    optimize_program(prog)
-    for fn in prog.functions.values():
-        lower_calling_convention(fn, machine)
-        if variant == "integrated":
-            allocate_function_integrated(fn, machine)
-        else:
-            allocate_function(fn, machine)
-    if variant == "postpass":
-        promote_spills_postpass(prog, machine, interprocedural=False)
-    elif variant == "postpass_cg":
-        promote_spills_postpass(prog, machine, interprocedural=True)
-    verify_program(prog)
-
-
 def _reference_run(prog: Program):
     """Unoptimized, unallocated execution: the semantic ground truth."""
     return Simulator(prog).run().value
@@ -110,109 +90,126 @@ def _reference_run(prog: Program):
 
 def _variant_descriptor(variant: str, machine: MachineConfig,
                         verify_values: bool) -> str:
-    """Artifact-cache pipeline-config component for one harness job."""
+    """Artifact-cache pipeline-config component for one harness cell."""
     return (f"harness:{variant}:verify={verify_values}:{machine!r}")
 
 
-def _variant_job(workload: str, variant: str, machine: MachineConfig,
-                 build: Callable[[str], Program], verify_values: bool,
-                 cache_root: Optional[str], cache_version: Optional[str],
-                 references: Optional[Dict[str, object]] = None,
-                 trace: bool = False
-                 ) -> Tuple["VariantResult", dict, object]:
-    """One pool job: build, compile, simulate, verify one configuration.
+def _workload_job(item: Tuple[str, Tuple[Tuple[str, MachineConfig], ...]],
+                  build: Callable[[str], Program], verify_values: bool,
+                  cache_root: Optional[str], cache_version: Optional[str],
+                  references: Optional[Dict[str, object]] = None,
+                  trace: bool = False
+                  ) -> Tuple[List[Tuple["VariantResult", dict]], object]:
+    """One pool job: every requested (variant, machine) cell of one
+    workload, compiled through one :class:`StageCache`.
 
     Module-level so it pickles across the process boundary.  Returns
-    ``(result, timing payload, reference value)`` — the reference value
-    comes back so the parent can memoize it for later variants of the
-    same workload.
+    ``([(result, timing payload) per cell], reference value)`` — one
+    payload per cell, so cache hits and misses are counted per cell;
+    the reference value comes back so the parent can memoize it for
+    later cells of the same workload.
 
-    ``trace`` installs a per-job :class:`TraceRecorder` around the
-    compile+simulate work and ships its payload back inside the timing
-    payload (``payload["trace"]``); tracing never changes what the job
+    ``trace`` installs a per-job :class:`TraceRecorder` around the work
+    and ships its payload back inside the last cell's timing payload
+    (``payload["trace"]``); tracing never changes what the job
     computes, only what it reports, so traced and untraced sweeps
-    produce bit-identical results.  Cache-served jobs skip compilation
-    and therefore carry no trace payload.
+    produce bit-identical results.  A job served entirely from the
+    artifact cache compiles nothing and carries no trace payload.
     """
     if not trace:
-        return _variant_job_inner(workload, variant, machine, build,
-                                  verify_values, cache_root, cache_version,
-                                  references)
+        return _workload_job_inner(item, build, verify_values, cache_root,
+                                   cache_version, references)
     recorder = TraceRecorder()
     with recording(recorder):
-        result = _variant_job_inner(workload, variant, machine, build,
-                                    verify_values, cache_root,
-                                    cache_version, references)
+        rows, reference = _workload_job_inner(item, build, verify_values,
+                                              cache_root, cache_version,
+                                              references)
     if recorder.events:
-        result[1]["trace"] = recorder.to_payload()
-    return result
+        rows[-1][1]["trace"] = recorder.to_payload()
+    return rows, reference
 
 
-def _variant_job_inner(workload, variant, machine, build, verify_values,
-                       cache_root, cache_version, references):
-    clock = StageClock()
+def _workload_job_inner(item, build, verify_values, cache_root,
+                        cache_version, references):
+    workload, cells = item
+    clocks = [StageClock() for _ in cells]
     artifacts = (ArtifactCache(cache_root, version=cache_version)
                  if cache_root is not None else None)
 
-    with clock.stage("build"):
+    with clocks[0].stage("build"):
         prog = build(workload)
-
-    key = ref_key = None
+    stages = StageCache(prog)
     reference = (references or {}).get(workload)
-    if artifacts is not None:
-        source_text = format_program(prog)
-        key = artifacts.key(source_text,
-                            _variant_descriptor(variant, machine,
-                                                verify_values))
-        ref_key = artifacts.key(source_text, "harness:reference")
-        hit, cached = artifacts.get(key)
-        if hit:
-            payload = clock.to_payload(cache_hit=True)
-            payload["cache_errors"] = artifacts.errors
-            payload["cache_stores"] = artifacts.stores
-            return cached, payload, reference
-        if reference is None and verify_values:
-            ref_hit, ref_cached = artifacts.get(ref_key)
-            if ref_hit:
-                reference = ref_cached
-
-    if verify_values and reference is None:
-        with clock.stage("reference"):
-            reference = _reference_run(prog.clone())
+    source_text = (format_program(prog) if artifacts is not None
+                   else None)
+    rows = []
+    for (variant, machine), clock in zip(cells, clocks):
+        key = None
         if artifacts is not None:
-            artifacts.put(ref_key, reference)
+            key = artifacts.key(source_text,
+                                _variant_descriptor(variant, machine,
+                                                    verify_values))
+            hit, cached = artifacts.get(key)
+            if hit:
+                rows.append((cached, clock.to_payload(cache_hit=True)))
+                continue
+        if verify_values and reference is None:
+            reference = _reference_value(prog, artifacts, source_text,
+                                         clock)
+        with clock.stage("compile"):
+            compiled = stages.compile(machine, variant)
+        with clock.stage("simulate"):
+            run = Simulator(compiled, machine,
+                            poison_caller_saved=True).run()
+        if verify_values and not values_match(run.value, reference):
+            raise AssertionError(
+                f"{workload}/{variant}: value {run.value!r} diverged "
+                f"from reference {reference!r}")
+        result = _variant_result(workload, variant, machine.ccm_bytes,
+                                 compiled, run)
+        if artifacts is not None:
+            artifacts.put(key, result)
+        rows.append((result, clock.to_payload(cache_hit=False)))
+    if artifacts is not None:
+        rows[-1][1]["cache_errors"] = artifacts.errors
+        rows[-1][1]["cache_stores"] = artifacts.stores
+    return rows, reference
 
-    with clock.stage("compile"):
-        compile_program(prog, machine, variant)
-    with clock.stage("simulate"):
-        run = Simulator(prog, machine, poison_caller_saved=True).run()
-    if verify_values and not values_match(run.value, reference):
-        raise AssertionError(
-            f"{workload}/{variant}: value {run.value!r} diverged "
-            f"from reference {reference!r}")
-    result = VariantResult(
-        workload, variant, machine.ccm_bytes, run.value, run.stats,
+
+def _reference_value(prog: Program, artifacts: Optional[ArtifactCache],
+                     source_text: Optional[str], clock: StageClock):
+    """The workload's reference value, from the artifact cache or run."""
+    ref_key = None
+    if artifacts is not None:
+        ref_key = artifacts.key(source_text, "harness:reference")
+        hit, cached = artifacts.get(ref_key)
+        if hit:
+            return cached
+    with clock.stage("reference"):
+        reference = _reference_run(prog.clone())
+    if artifacts is not None:
+        artifacts.put(ref_key, reference)
+    return reference
+
+
+def _variant_result(workload: str, variant: str, ccm_bytes: int,
+                    prog: Program, run) -> "VariantResult":
+    return VariantResult(
+        workload, variant, ccm_bytes, run.value, run.stats,
         spill_bytes={name: fn.frame_size
                      for name, fn in prog.functions.items()},
         ccm_high_water={name: fn.ccm_high_water
                         for name, fn in prog.functions.items()})
-    if artifacts is not None:
-        artifacts.put(key, result)
-    payload = clock.to_payload(cache_hit=False)
-    if artifacts is not None:
-        payload["cache_errors"] = artifacts.errors
-        payload["cache_stores"] = artifacts.stores
-    return result, payload, reference
 
 
 @dataclass
 class ExperimentRunner:
     """Compiles and simulates workloads, with memoization.
 
-    ``jobs`` sets the default fan-out for :meth:`run_all` (1 = serial
+    ``jobs`` sets the default fan-out for :meth:`run_cells` (1 = serial
     in-process).  ``artifacts`` plugs in the persistent on-disk cache;
     ``stats`` accumulates per-stage timing and cache hit rates across
-    everything this runner executes.
+    everything this runner executes (pass one in to share it).
     """
 
     machine_512: MachineConfig = PAPER_MACHINE_512
@@ -225,13 +222,15 @@ class ExperimentRunner:
     #: and, when ``recorder`` is set, events merge into it for export
     trace: bool = False
     recorder: Optional[TraceRecorder] = None
+    stats: Optional[SweepStats] = None
 
     def __post_init__(self):
         if self.build is None:
             self.build = build_routine
+        if self.stats is None:
+            self.stats = SweepStats(jobs=max(self.jobs, 1))
         self._cache: Dict[Tuple[str, str, int], VariantResult] = {}
         self._reference: Dict[str, object] = {}
-        self.stats = SweepStats(jobs=max(self.jobs, 1))
 
     def machine(self, ccm_bytes: int) -> MachineConfig:
         if ccm_bytes == 512:
@@ -246,26 +245,6 @@ class ExperimentRunner:
             self._reference[workload] = _reference_run(self.build(workload))
         return self._reference[workload]
 
-    def _job(self, variant: str, ccm_bytes: int) -> Callable:
-        return functools.partial(
-            _variant_job, variant=variant, machine=self.machine(ccm_bytes),
-            build=self.build, verify_values=self.verify_values,
-            cache_root=(self.artifacts.root
-                        if self.artifacts is not None else None),
-            cache_version=(self.artifacts.version
-                           if self.artifacts is not None else None),
-            references=dict(self._reference), trace=self.trace)
-
-    def _absorb(self, key: Tuple[str, str, int], result: VariantResult,
-                payload: dict, reference: object) -> None:
-        workload = key[0]
-        self.stats.merge_job(payload)
-        if self.recorder is not None:
-            self.recorder.merge_payload(payload.get("trace"))
-        if reference is not None and workload not in self._reference:
-            self._reference[workload] = reference
-        self._cache[key] = result
-
     def run(self, workload: str, variant: str,
             ccm_bytes: int = 512, cache: Optional[DataCache] = None
             ) -> VariantResult:
@@ -279,9 +258,7 @@ class ExperimentRunner:
                                              cache)
         key = (workload, variant, ccm_bytes)
         if key not in self._cache:
-            result, payload, reference = self._job(variant, ccm_bytes)(
-                workload)
-            self._absorb(key, result, payload, reference)
+            self.run_cells([(variant, ccm_bytes)], [workload], jobs=1)
         return self._cache[key]
 
     def _run_with_data_cache(self, workload: str, variant: str,
@@ -298,50 +275,82 @@ class ExperimentRunner:
                 raise AssertionError(
                     f"{workload}/{variant}: value {run.value!r} diverged "
                     f"from reference {ref!r}")
-        return VariantResult(
-            workload, variant, ccm_bytes, run.value, run.stats,
-            spill_bytes={name: fn.frame_size
-                         for name, fn in prog.functions.items()},
-            ccm_high_water={name: fn.ccm_high_water
-                            for name, fn in prog.functions.items()})
+        return _variant_result(workload, variant, ccm_bytes, prog, run)
+
+    def run_cells(self, cells: Sequence[Tuple[str, int]],
+                  workloads: Optional[List[str]] = None,
+                  jobs: Optional[int] = None) -> None:
+        """Compute every missing (workload, variant, CCM size) result for
+        the ``(variant, CCM size)`` cells over the suite (or a subset).
+
+        One job per workload computes all of its missing cells through
+        one stage cache, whose snapshots are dropped when the job ends.
+        Serial runs go workload by workload; ``jobs > 1`` fans the
+        workloads out over worker processes.  Either way the memoized
+        rows are bit-identical.
+        """
+        names = list(workloads) if workloads is not None else suite_names()
+        jobs = self.jobs if jobs is None else jobs
+        cells = list(dict.fromkeys(cells))
+        items = []
+        for name in names:
+            missing = tuple((variant, self.machine(ccm_bytes))
+                            for variant, ccm_bytes in cells
+                            if (name, variant, ccm_bytes) not in self._cache)
+            if missing:
+                items.append((name, missing))
+        if jobs > 1 and len(items) > 1:
+            self.stats.jobs = max(self.stats.jobs, jobs)
+        job = functools.partial(
+            _workload_job, build=self.build,
+            verify_values=self.verify_values,
+            cache_root=(self.artifacts.root
+                        if self.artifacts is not None else None),
+            cache_version=(self.artifacts.version
+                           if self.artifacts is not None else None),
+            references=dict(self._reference), trace=self.trace)
+        for (name, missing), (rows, reference) in run_jobs(job, items,
+                                                           jobs=jobs):
+            if reference is not None and name not in self._reference:
+                self._reference[name] = reference
+            for (variant, machine), (result, payload) in zip(missing, rows):
+                self.stats.merge_job(payload)
+                if self.recorder is not None:
+                    self.recorder.merge_payload(payload.get("trace"))
+                self._cache[(name, variant, machine.ccm_bytes)] = result
 
     def run_all(self, variant: str, ccm_bytes: int = 512,
                 workloads: Optional[List[str]] = None,
                 jobs: Optional[int] = None) -> Dict[str, VariantResult]:
-        """Run one variant over the whole suite (or a subset).
-
-        ``jobs > 1`` fans the uncached workloads out over worker
-        processes; rows come back and are reported in suite order, so
-        the result is identical to the serial sweep.
-        """
+        """Run one variant over the whole suite (or a subset); rows come
+        back in suite order (see :meth:`run_cells`)."""
         names = list(workloads) if workloads is not None else suite_names()
-        jobs = self.jobs if jobs is None else jobs
-        missing = [name for name in names
-                   if (name, variant, ccm_bytes) not in self._cache]
-        if jobs > 1 and len(missing) > 1:
-            self.stats.jobs = max(self.stats.jobs, jobs)
-            job = self._job(variant, ccm_bytes)
-            for name, (result, payload, ref) in run_jobs(job, missing,
-                                                         jobs=jobs):
-                self._absorb((name, variant, ccm_bytes), result, payload,
-                             ref)
+        self.run_cells([(variant, ccm_bytes)], names, jobs)
         return {name: self.run(name, variant, ccm_bytes) for name in names}
 
 
 def compaction_measurements(workloads: Optional[List[str]] = None,
                             machine: MachineConfig = PAPER_MACHINE_512,
-                            jobs: int = 1):
-    """Table 1 data: per-routine spill bytes before/after compaction."""
+                            jobs: int = 1,
+                            stats: Optional[SweepStats] = None):
+    """Table 1 data: per-routine spill bytes before/after compaction.
+    ``stats``, if given, collects the jobs' stage timings."""
     names = list(workloads) if workloads is not None else suite_names()
     results = []
-    for _, result in run_jobs(functools.partial(_compaction_job,
-                                                machine=machine),
-                              names, jobs=jobs):
+    for _, (result, payload) in run_jobs(
+            functools.partial(_compaction_job, machine=machine),
+            names, jobs=jobs):
         results.append(result)
+        if stats is not None:
+            stats.merge_job(payload)
     return results
 
 
 def _compaction_job(name: str, machine: MachineConfig):
-    prog = build_routine(name)
-    compile_program(prog, machine, "baseline")
-    return compact_spill_memory(prog.functions[name])
+    clock = StageClock()
+    with clock.stage("build"):
+        prog = build_routine(name)
+    with clock.stage("compile"):
+        compile_program(prog, machine, "baseline")
+        result = compact_spill_memory(prog.functions[name])
+    return result, clock.to_payload()

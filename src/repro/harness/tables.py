@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..exec import SweepStats
 from ..workloads.programs import program_names
 from ..workloads.suite import suite_names
 from .experiment import ExperimentRunner, compaction_measurements
@@ -73,9 +74,11 @@ class Table1:
         return "\n".join(lines)
 
 
-def table1(workloads: Optional[List[str]] = None, jobs: int = 1) -> Table1:
+def table1(workloads: Optional[List[str]] = None, jobs: int = 1,
+           stats: Optional[SweepStats] = None) -> Table1:
     rows = [Table1Row(c.fn_name, c.bytes_before, c.bytes_after)
-            for c in compaction_measurements(workloads, jobs=jobs)]
+            for c in compaction_measurements(workloads, jobs=jobs,
+                                             stats=stats)]
     return Table1(rows)
 
 
@@ -143,14 +146,17 @@ class Table2:
         return "\n".join(lines)
 
 
+def _cells(ccm_sizes) -> List[Tuple[str, int]]:
+    return [(variant, ccm_bytes) for ccm_bytes in ccm_sizes
+            for variant in ("baseline",) + ALGORITHMS]
+
+
 def _prefetch(runner: ExperimentRunner, workloads: Optional[List[str]],
               ccm_sizes) -> None:
-    """Warm the runner's memo for every (variant, CCM size) slice —
-    one run_all per slice, so a parallel runner fans the whole
-    cross-product out instead of simulating row by row."""
-    for ccm_bytes in ccm_sizes:
-        for variant in ("baseline",) + ALGORITHMS:
-            runner.run_all(variant, ccm_bytes, workloads)
+    """Warm the runner's memo for every (variant, CCM size) cell in one
+    request, so each workload's cells share one job and one stage
+    cache, and a parallel runner fans the workloads out."""
+    runner.run_cells(_cells(ccm_sizes), workloads)
 
 
 def table2(runner: ExperimentRunner, ccm_bytes: int = 512,
@@ -338,8 +344,7 @@ def figure(runner_factory, ccm_bytes: int,
     """
     runner = runner_factory() if callable(runner_factory) else runner_factory
     names = list(programs) if programs is not None else program_names()
-    for variant in ("baseline",) + ALGORITHMS:
-        runner.run_all(variant, ccm_bytes, names)
+    runner.run_cells(_cells((ccm_bytes,)), names)
     rows = []
     for name in names:
         base = runner.run(name, "baseline", ccm_bytes)
@@ -354,10 +359,12 @@ def figure(runner_factory, ccm_bytes: int,
 
 
 def program_runner(jobs: int = 1, artifacts=None, trace: bool = False,
-                   recorder=None) -> ExperimentRunner:
-    """An ExperimentRunner over whole programs instead of routines."""
+                   recorder=None,
+                   stats: Optional[SweepStats] = None) -> ExperimentRunner:
+    """An ExperimentRunner over whole programs instead of routines;
+    ``stats``, if given, is shared with the caller's report."""
     from ..workloads.programs import build_program
 
     return ExperimentRunner(build=build_program, jobs=jobs,
                             artifacts=artifacts, trace=trace,
-                            recorder=recorder)
+                            recorder=recorder, stats=stats)

@@ -7,7 +7,7 @@ of as mysterious simulator failures.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from .function import Function, Program
 from .opcodes import Opcode, info
@@ -18,8 +18,12 @@ class VerificationError(ValueError):
     """The IR violates a structural invariant."""
 
 
-def verify_function(fn: Function, program: Program = None) -> None:
-    """Check one function's structural invariants; raises on violation."""
+def verify_function(fn: Function, program: Program = None,
+                    ccm_bytes: Optional[int] = None) -> None:
+    """Check one function's structural invariants; raises on violation.
+
+    ``ccm_bytes``, when given, bounds every CCM slot the way
+    ``fn.frame_size`` bounds every stack slot."""
     if not fn.blocks:
         raise VerificationError(f"{fn.name}: no blocks")
     labels = {b.label for b in fn.blocks}
@@ -32,7 +36,8 @@ def verify_function(fn: Function, program: Program = None) -> None:
                 f"{fn.name}/{block.label}: does not end in a terminator "
                 f"(ends in {term.opcode.value})")
         for i, instr in enumerate(block.instructions):
-            _verify_instruction(fn, block.label, i, instr, labels, program)
+            _verify_instruction(fn, block.label, i, instr, labels, program,
+                                ccm_bytes)
             if instr.is_branch and i != len(block.instructions) - 1:
                 raise VerificationError(
                     f"{fn.name}/{block.label}: branch in mid-block at {i}")
@@ -97,7 +102,8 @@ def _verify_defs(fn: Function) -> None:
                         f"in the function")
 
 
-def _verify_instruction(fn, label, idx, instr, labels, program) -> None:
+def _verify_instruction(fn, label, idx, instr, labels, program,
+                        ccm_bytes) -> None:
     meta = info(instr.opcode)
     where = f"{fn.name}/{label}[{idx}] {instr.opcode.value}"
 
@@ -152,6 +158,16 @@ def _verify_instruction(fn, label, idx, instr, labels, program) -> None:
                 f"{where}: stack slot [{instr.imm}, {end}) exceeds the "
                 f"declared {fn.frame_size}-byte spill area")
 
+    if ccm_bytes is not None and meta.is_ccm:
+        # the static twin of the simulator's bounds trap: it also covers
+        # code a run never executes
+        reg = (instr.srcs or instr.dsts)[0]
+        end = instr.imm + reg.rclass.size_bytes
+        if end > ccm_bytes:
+            raise VerificationError(
+                f"{where}: CCM slot [{instr.imm}, {end}) exceeds the "
+                f"{ccm_bytes}-byte CCM")
+
     if instr.opcode is Opcode.CALL and program is not None:
         if instr.symbol not in program.functions:
             raise VerificationError(f"{where}: unknown callee {instr.symbol}")
@@ -165,12 +181,13 @@ def _verify_instruction(fn, label, idx, instr, labels, program) -> None:
             raise VerificationError(f"{where}: unknown global {instr.symbol}")
 
 
-def verify_program(prog: Program) -> None:
-    """Check every function plus program-level references (calls, globals)."""
+def verify_program(prog: Program, ccm_bytes: Optional[int] = None) -> None:
+    """Check every function plus program-level references (calls,
+    globals); ``ccm_bytes`` bounds the CCM slots (see verify_function)."""
     if prog.entry_name not in prog.functions:
         raise VerificationError(f"no entry function {prog.entry_name!r}")
     for fn in prog.functions.values():
-        verify_function(fn, prog)
+        verify_function(fn, prog, ccm_bytes)
 
 
 def check_no_virtual_registers(fn: Function) -> None:

@@ -85,6 +85,9 @@ class AllocationResult:
     locations: Dict[object, SpillLocation] = field(default_factory=dict)
     assignment: Dict[VirtualReg, PhysReg] = field(default_factory=dict)
     coalesced: int = 0
+    #: integrated CCM allocation only: the CCM sizes ``[lo, hi)`` (``hi``
+    #: None for unbounded) for which this allocation is exact
+    ccm_exact_sizes: Optional[Tuple[int, Optional[int]]] = None
 
     @property
     def spill_bytes(self) -> int:

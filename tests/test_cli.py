@@ -1,5 +1,6 @@
 """Command-line interface tests (``python -m repro`` and the harness CLI)."""
 
+import json
 import sys
 
 import pytest
@@ -76,11 +77,16 @@ class TestReproCli:
 
 
 class TestHarnessCli:
-    def test_table1_subset(self, capsys):
-        assert harness_main(["table1", "--routines", "decomp,urand"]) == 0
+    def test_table1_subset(self, capsys, tmp_path):
+        stats_path = tmp_path / "stats.json"
+        assert harness_main(["table1", "--routines", "decomp,urand",
+                             "--stats", str(stats_path)]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "TOTAL" in out
+        # Table 1's compaction jobs report their stages in --stats
+        stages = json.loads(stats_path.read_text())["stages"]
+        assert stages["compile"]["calls"] == 2
 
     def test_table2_subset(self, capsys):
         assert harness_main(["table2", "--routines", "decomp"]) == 0

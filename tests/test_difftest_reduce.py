@@ -11,15 +11,17 @@ import pytest
 from repro.difftest import (check_source, generate_source, iter_corpus,
                             reduce_source, save_corpus_entry)
 from repro.difftest.faults import FAULTS, get_fault
-from repro.difftest.runner import DiffConfig
+from repro.difftest.runner import DiffConfig, compile_config
 from repro.frontend import compile_source
+from repro.ir import VerificationError, verify_program
 
 BASE = DiffConfig("baseline", optimize=False, compaction=False, ccm_bytes=512)
 CCM = DiffConfig("postpass", optimize=False, compaction=False, ccm_bytes=512)
 
 #: the config whose compiled form contains the instructions each fault
-#: mutates (ccm_alias needs CCM traffic, so it runs under postpass)
-_FAULT_CONFIG = {name: (CCM if name == "ccm_alias" else BASE)
+#: mutates (the CCM faults need CCM traffic, so they run under postpass)
+_CCM_FAULTS = ("ccm_alias", "ccm_slot_past_limit")
+_FAULT_CONFIG = {name: (CCM if name in _CCM_FAULTS else BASE)
                  for name in FAULTS}
 
 
@@ -32,6 +34,15 @@ class TestFaultInjection:
         assert result.skipped is None
         assert result.divergences, \
             f"oracle missed injected fault {fault_name}"
+
+    def test_verifier_catches_ccm_slot_past_limit(self):
+        """The static CCM bound rejects the fault without running the
+        program, so it also covers code a run never executes."""
+        program, machine = compile_config(compile_source(generate_source(0)),
+                                          CCM)
+        get_fault("ccm_slot_past_limit")(program)
+        with pytest.raises(VerificationError, match="512-byte CCM"):
+            verify_program(program, machine.ccm_bytes)
 
     def test_unfaulted_seed_is_clean(self):
         result = check_source(generate_source(0), [BASE, CCM])

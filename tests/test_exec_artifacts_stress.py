@@ -16,6 +16,7 @@ not, so a Ctrl-C'd sweep or a SIGTERM'd daemon cannot orphan processes.
 
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -232,6 +233,30 @@ class TestJobPoolClose:
             pytest.skip("no process pool on this host")
         futures = [pool.submit(_quick_job, n) for n in range(4)]
         assert [f.result() for f in futures] == [1, 2, 3, 4]
+        assert pool.close() is True
+
+    def test_close_survives_a_slow_reaper(self, mp, monkeypatch):
+        """close() used to join the workers itself while the executor's
+        manager thread joined them too.  Two threads then called
+        waitpid() on one pid.  When the manager thread reaped a worker
+        but had not yet recorded its exit code, close() got ECHILD,
+        took the exited worker for a straggler and returned False.
+        Widening that window must not change the answer."""
+        pool = JobPool(jobs=2)
+        if pool.serial:
+            pytest.skip("no process pool on this host")
+        futures = [pool.submit(_quick_job, n) for n in range(4)]
+        assert [f.result() for f in futures] == [1, 2, 3, 4]
+        closing = threading.current_thread()
+        real_waitpid = os.waitpid
+
+        def waitpid(pid, options):
+            result = real_waitpid(pid, options)
+            if threading.current_thread() is not closing:
+                time.sleep(0.2)   # reaped, exit code not yet recorded
+            return result
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
         assert pool.close() is True
 
     def test_close_is_idempotent(self):

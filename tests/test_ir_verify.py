@@ -130,6 +130,38 @@ class TestOperandShapes:
         fn.frame_size = 8
         verify_function(fn)
 
+    def test_ccm_slot_past_limit(self):
+        fn = _fn_with([
+            Instruction(Opcode.LOADI, [_v(0)], [], imm=1),
+            Instruction(Opcode.CCMST, [], [_v(0)], imm=508),
+            Instruction(Opcode.RET),
+        ])
+        verify_function(fn, ccm_bytes=512)
+        with pytest.raises(VerificationError, match="256-byte CCM"):
+            verify_function(fn, ccm_bytes=256)
+        verify_function(fn)     # no CCM size given: nothing to bound
+
+    def test_float_ccm_slot_respects_element_size(self):
+        # an 8-byte float slot at offset 508 ends at 516
+        fn = _fn_with([
+            Instruction(Opcode.FCCMLD, [_v(0, RegClass.FLOAT)], [], imm=508),
+            Instruction(Opcode.RET),
+        ])
+        with pytest.raises(VerificationError, match="508, 516"):
+            verify_function(fn, ccm_bytes=512)
+        verify_function(fn, ccm_bytes=516)
+
+    def test_ccm_bound_covers_unexecuted_code(self):
+        # the bad slot sits in a block no run reaches
+        fn = Function("f")
+        entry, dead = fn.new_block("entry"), fn.new_block("dead")
+        entry.append(Instruction(Opcode.RET))
+        dead.append(Instruction(Opcode.LOADI, [_v(0)], [], imm=1))
+        dead.append(Instruction(Opcode.CCMST, [], [_v(0)], imm=64))
+        dead.append(Instruction(Opcode.RET))
+        with pytest.raises(VerificationError, match="64-byte CCM"):
+            verify_function(fn, ccm_bytes=64)
+
     def test_spill_inside_frame_ok(self):
         fn = _fn_with([
             Instruction(Opcode.LOADI, [_v(0)], [], imm=1),
