@@ -8,8 +8,6 @@ Usage::
     python -m repro difftest [--seeds N] [-j N] [--profile nightly]
     python -m repro harness table2 [-j N] [--stats]
     python -m repro trace compare [--baseline benchmarks/baselines]
-    python -m repro serve [--socket PATH] [--jobs N]
-    python -m repro cache stats [--cache-dir DIR]
 
 ``emit`` prints the ILOC listing at a chosen stage: ``frontend`` (raw
 lowering), ``opt`` (after scalar optimization), or ``asm`` (fully
@@ -18,12 +16,10 @@ fuzzer over the allocator config lattice (see :mod:`repro.difftest`);
 ``harness`` regenerates the paper's tables and figures (see
 :mod:`repro.harness.cli`).  Both are sweep commands: they take
 ``--jobs N`` / ``-j N`` to fan out over worker processes, ``--stats``
-for engine metrics, and share the on-disk artifact cache.  ``trace``
-captures/compares per-routine compile-quality metric baselines (the
-regression gate; see :mod:`repro.trace.cli`).  ``serve`` runs the
-compilation-as-a-service daemon (and its client subcommands; see
-:mod:`repro.serve`); ``cache`` inspects and maintains the shared
-on-disk artifact store (see :mod:`repro.exec.cache_cli`).
+for engine metrics, and share the on-disk artifact cache (emptied by
+``--clear-cache`` or ``rm -rf``).  ``trace`` captures/compares
+per-routine compile-quality metric baselines (the regression gate; see
+:mod:`repro.trace.cli`).
 """
 
 from __future__ import annotations
@@ -66,14 +62,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # metric-baseline capture/compare (the regression gate)
         from .trace.cli import main as trace_main
         return trace_main(argv[1:])
-    if argv and argv[0] == "serve":
-        # the compilation-as-a-service daemon and its client
-        from .serve.cli import main as serve_main
-        return serve_main(argv[1:])
-    if argv and argv[0] == "cache":
-        # artifact-store maintenance (stats / evict / clear)
-        from .exec.cache_cli import main as cache_main
-        return cache_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="repro", description="MFL compiler with CCM spill allocation")
@@ -98,12 +86,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub.add_parser("trace",
                    help="capture/compare compile-quality metric baselines "
                         "(python -m repro trace --help)")
-    sub.add_parser("serve",
-                   help="compilation-as-a-service daemon and client "
-                        "(python -m repro serve --help)")
-    sub.add_parser("cache",
-                   help="artifact-store stats/evict/clear "
-                        "(python -m repro cache --help)")
 
     emit_cmd = sub.add_parser("emit", help="print the ILOC listing")
     emit_cmd.add_argument("file")

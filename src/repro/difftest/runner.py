@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..exec import ArtifactCache, StageClock, SweepStats, run_jobs
+from ..exec import ArtifactCache, JobPool, StageClock, SweepStats
 from ..exec.batching import group_batches
 from ..exec.compare import values_match as _values_match
 from ..exec.stages import StageCache
@@ -638,19 +638,20 @@ def run_fuzz(seeds: Sequence[int],
         trace=trace or recorder is not None)
     if stats is not None:
         stats.jobs = max(jobs, 1)
-    for seed, (result, payload) in run_jobs(job, seeds, jobs=jobs,
-                                            stop_when=over_budget):
-        report.seeds_run += 1
-        if result.skipped is not None:
-            report.seeds_skipped += 1
-        report.configs_run += result.n_configs
-        report.divergences.extend(result.divergences)
-        if stats is not None:
-            stats.merge_job(payload)
-        if recorder is not None:
-            recorder.merge_payload(payload.get("trace"))
-        if progress is not None:
-            progress(seed, result)
+    with JobPool(jobs) as pool:
+        for seed, (result, payload) in pool.map(job, seeds,
+                                                stop_when=over_budget):
+            report.seeds_run += 1
+            if result.skipped is not None:
+                report.seeds_skipped += 1
+            report.configs_run += result.n_configs
+            report.divergences.extend(result.divergences)
+            if stats is not None:
+                stats.merge_job(payload)
+            if recorder is not None:
+                recorder.merge_payload(payload.get("trace"))
+            if progress is not None:
+                progress(seed, result)
     report.elapsed_s = time.time() - start
     if stats is not None:
         stats.wall_s += report.elapsed_s

@@ -7,14 +7,16 @@ compile+simulate jobs whose results must be reported in a fixed,
 deterministic order.  This package provides the three layers they all
 share:
 
-* :mod:`repro.exec.pool` — fan jobs out over a ``ProcessPoolExecutor``
-  (``--jobs N`` / ``-j``), with a deterministic in-process serial path
-  at ``-j 1``.  Results always come back in submission order, so the
-  parallel path is bit-identical to the serial one.
-* :mod:`repro.exec.artifacts` — a content-addressed on-disk cache keyed
-  by (source text, pipeline config, code version).  It sits *under* the
-  existing in-memory memoization and makes repeat sweeps across CLI
-  invocations near-free.
+* :mod:`repro.exec.pool` — :class:`~repro.exec.pool.JobPool` fans jobs
+  out over a ``ProcessPoolExecutor`` (``--jobs N`` / ``-j``), with a
+  deterministic in-process serial path at ``-j 1``.  ``JobPool.map``
+  runs one flat batch and yields results in submission order, so the
+  parallel path is bit-identical to the serial one; ``submit`` serves
+  schedulers that release work incrementally.
+* :mod:`repro.exec.artifacts` — a content-addressed on-disk cache
+  (get/put/clear) keyed by (source text, pipeline config, code version,
+  current engines).  It sits *under* the existing in-memory memoization
+  and makes repeat sweeps across CLI invocations near-free.
 * :mod:`repro.exec.stats` — per-stage wall/CPU timing and cache
   hit-rate accounting, surfaced as ``--stats`` JSON so perf regressions
   in the compiler itself stay visible.
@@ -32,21 +34,19 @@ two copies with different float tolerances — a program could pass one
 and fail the other).
 """
 
-from .artifacts import (ArtifactCache, code_version, default_cache_budget,
-                        default_cache_dir, parse_bytes)
+from .artifacts import ArtifactCache, code_version, default_cache_dir
 from .batching import group_batches
 from .compare import FLOAT_RTOL, values_match
-from .pool import JobPool, default_jobs, run_jobs
+from .pool import JobPool, default_jobs
 from .stats import StageClock, SweepStats
 from .wholeprog import (SccSchedule, WholeProgramReport,
                         compile_whole_program, monolithic_report)
 
 __all__ = [
-    "ArtifactCache", "code_version", "default_cache_budget",
-    "default_cache_dir", "parse_bytes",
+    "ArtifactCache", "code_version", "default_cache_dir",
     "group_batches",
     "FLOAT_RTOL", "values_match",
-    "JobPool", "default_jobs", "run_jobs",
+    "JobPool", "default_jobs",
     "StageClock", "SweepStats",
     "SccSchedule", "WholeProgramReport", "compile_whole_program",
     "monolithic_report",

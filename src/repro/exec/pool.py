@@ -14,8 +14,7 @@ plain result dataclasses (outcomes + statistics), never live
 
 Teardown is bounded everywhere: :meth:`JobPool.close` cancels pending
 work, gives running jobs a drain window, then terminates stragglers —
-a Ctrl-C'd sweep or a SIGTERM'd ``repro.serve`` daemon never orphans
-worker processes.
+a Ctrl-C'd sweep never orphans worker processes.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import os
 import threading
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["JobPool", "default_jobs", "run_jobs"]
+__all__ = ["JobPool", "default_jobs"]
 
 #: default drain window for :meth:`JobPool.close`: long enough for any
 #: sane job to finish its current item, short enough that Ctrl-C feels
@@ -35,47 +34,6 @@ DRAIN_TIMEOUT_S = 5.0
 def default_jobs() -> int:
     """Default worker count for ``--jobs``: every core the host has."""
     return os.cpu_count() or 1
-
-
-def run_jobs(fn: Callable, items: Iterable, jobs: int = 1,
-             stop_when: Optional[Callable[[], bool]] = None
-             ) -> Iterator[Tuple[object, object]]:
-    """Apply ``fn`` to each item, yielding ``(item, result)`` in order.
-
-    ``jobs <= 1`` runs serially in-process.  ``stop_when`` is polled
-    before each yielded result; once true, remaining work is abandoned
-    (pending futures are cancelled) — this is how wall-clock budgets
-    stop a sweep early without tearing down mid-job.
-
-    A job that raises propagates its exception at the point the item
-    would have been yielded, in both modes.  Teardown — normal exit,
-    early stop, or an exception in the consumer (Ctrl-C included) —
-    goes through :meth:`JobPool.close`, so abandoned workers are
-    drained within a bounded window, never orphaned.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        for item in items:
-            if stop_when is not None and stop_when():
-                return
-            yield item, fn(item)
-        return
-
-    pool = JobPool(jobs=min(jobs, len(items)))
-    if pool.serial:
-        # hosts without working multiprocessing (restricted /dev/shm,
-        # missing semaphores) degrade to the serial path
-        yield from run_jobs(fn, items, jobs=1, stop_when=stop_when)
-        return
-
-    try:
-        futures = [pool.submit(fn, item) for item in items]
-        for item, future in zip(items, futures):
-            if stop_when is not None and stop_when():
-                return
-            yield item, future.result()
-    finally:
-        pool.close()
 
 
 class _DoneFuture:
@@ -104,20 +62,19 @@ class _DoneFuture:
 
 
 class JobPool:
-    """A persistent worker pool for dependency-driven job graphs.
+    """A worker pool for flat batches and dependency-driven job graphs.
 
-    :func:`run_jobs` is the right engine for one flat batch; schedulers
-    that release work incrementally — the SCC-wave whole-program driver,
-    where a caller's job cannot be built until its callees' high-water
-    marks exist, and the ``repro.serve`` daemon, which multiplexes every
-    request onto one long-lived pool — need to keep one pool alive
-    across many small submit rounds instead of paying executor start-up
-    per round.
+    :meth:`map` runs one flat batch.  Schedulers that release work
+    incrementally — the SCC-wave whole-program driver, where a caller's
+    job cannot be built until its callees' high-water marks exist —
+    keep one pool alive across many small :meth:`submit` rounds instead
+    of paying executor start-up per round.
 
-    ``jobs <= 1`` (or a host without working multiprocessing) runs every
-    job inline at :meth:`submit` and returns an already-completed
-    future, so the scheduling loop above is identical in both modes and
-    the serial path stays the deterministic reference.
+    The worker processes start on first use.  ``jobs <= 1`` (or a host
+    without working multiprocessing) runs every job inline at
+    :meth:`submit` and returns an already-completed future, so the
+    scheduling loop above is identical in both modes and the serial
+    path stays the deterministic reference.
     """
 
     def __init__(self, jobs: int = 1):
@@ -125,19 +82,56 @@ class JobPool:
         self._pool = None
         self._lock = threading.Lock()
         self._outstanding: set = set()
-        if self.jobs > 1:
+
+    def _executor(self, workers: int):
+        """The process pool, started with ``workers`` processes on first
+        use; None on the serial path."""
+        if self._pool is None and min(self.jobs, workers) > 1:
             try:
                 from concurrent.futures import ProcessPoolExecutor
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=min(self.jobs, workers))
             except (ImportError, OSError, ValueError):
-                self._pool = None  # degrade to the serial path
+                self.jobs = 1      # degrade to the serial path
+        return self._pool
 
     @property
     def serial(self) -> bool:
-        return self._pool is None
+        """Whether jobs run inline (starts the workers to find out)."""
+        return self._executor(self.jobs) is None
+
+    def map(self, fn: Callable, items: Iterable,
+            stop_when: Optional[Callable[[], bool]] = None
+            ) -> Iterator[Tuple[object, object]]:
+        """Apply ``fn`` to each item, yielding ``(item, result)`` in
+        submission order.
+
+        A serial pool, or a batch of at most one item, runs each item
+        lazily in-process and starts no worker.  ``stop_when`` is
+        polled before each yielded result; once true, the remaining
+        work is abandoned — this is how wall-clock budgets stop a sweep
+        early without tearing down mid-job.  A job that raises
+        propagates its exception at the point its item would have been
+        yielded, in both modes.  Callers hold the pool in a ``with``
+        block, so any exit — normal, early stop, or an exception in the
+        consumer (Ctrl-C included) — goes through :meth:`close`, and
+        abandoned workers are drained within a bounded window.
+        """
+        items = list(items)
+        if len(items) <= 1 or self._executor(len(items)) is None:
+            for item in items:
+                if stop_when is not None and stop_when():
+                    return
+                yield item, fn(item)
+            return
+        futures = [self.submit(fn, item) for item in items]
+        for item, future in zip(items, futures):
+            if stop_when is not None and stop_when():
+                return
+            yield item, future.result()
 
     def submit(self, fn: Callable, *args):
-        if self._pool is None:
+        if self._executor(self.jobs) is None:
             try:
                 return _DoneFuture(fn(*args))
             except BaseException as exc:  # noqa: BLE001 - mirrors Future
@@ -163,17 +157,6 @@ class JobPool:
         result = wait(futures, return_when=FIRST_COMPLETED)
         return list(result.done)
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait up to ``timeout`` seconds for every outstanding future;
-        True when nothing is left in flight."""
-        with self._lock:
-            pending = [f for f in self._outstanding if not f.done()]
-        if not pending:
-            return True
-        from concurrent.futures import wait
-        result = wait(pending, timeout=timeout)
-        return not result.not_done
-
     def close(self, timeout: Optional[float] = DRAIN_TIMEOUT_S) -> bool:
         """Graceful bounded shutdown: cancel pending work, give running
         jobs ``timeout`` seconds to drain, terminate whatever remains.
@@ -185,6 +168,7 @@ class JobPool:
         processes are *always* reaped, never orphaned.
         """
         pool, self._pool = self._pool, None
+        self.jobs = 1
         if pool is None:
             return True
         with self._lock:
@@ -215,10 +199,6 @@ class JobPool:
                         proc.kill()
                 _join(manager, 1.0)
         return clean
-
-    def shutdown(self) -> None:
-        """Backwards-compatible alias for :meth:`close`."""
-        self.close()
 
     def __enter__(self) -> "JobPool":
         return self

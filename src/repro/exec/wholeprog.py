@@ -364,8 +364,7 @@ def compile_whole_program(app, machine: MachineConfig, jobs: int = 1,
                           stats: Optional[SweepStats] = None,
                           keep_routines: bool = False,
                           coalesce: bool = True,
-                          stream: Optional[Callable[[str, dict], None]] = None,
-                          pool: Optional[JobPool] = None
+                          stream: Optional[Callable[[str, dict], None]] = None
                           ) -> WholeProgramReport:
     """Compile an :class:`~repro.workloads.appgen.Application` with the
     SCC-wave engine.
@@ -374,14 +373,8 @@ def compile_whole_program(app, machine: MachineConfig, jobs: int = 1,
     the plain bottom-up walk, one compile per routine, no reuse.
     ``stream`` receives ``(name, row)`` for every routine as its SCC
     resolves — rows are not retained unless ``keep_routines=True``.
-    ``pool`` lends an external persistent :class:`JobPool` (the
-    ``repro.serve`` daemon multiplexes every request onto one warm
-    pool); the caller keeps ownership — it is not closed here — and
-    its worker count overrides ``jobs``.
     """
     start = time.perf_counter()
-    if pool is not None:
-        jobs = pool.jobs
     stats = stats if stats is not None else SweepStats(jobs=max(jobs, 1))
     stats.jobs = max(stats.jobs, jobs, 1)
     adjacency = app.adjacency()
@@ -451,9 +444,7 @@ def compile_whole_program(app, machine: MachineConfig, jobs: int = 1,
             if remaining_deps[caller] == 0:
                 ready.append(caller)
 
-    own_pool = pool is None
-    if own_pool:
-        pool = JobPool(jobs)
+    pool = JobPool(jobs)
     try:
         while ready or inflight:
             # release everything whose callees are resolved
@@ -500,8 +491,7 @@ def compile_whole_program(app, machine: MachineConfig, jobs: int = 1,
                 for name in members:
                     finish_routine(name, outcome)
     finally:
-        if own_pool:
-            pool.close()
+        pool.close()
 
     report.wall_s = time.perf_counter() - start
     stats.wall_s += report.wall_s

@@ -23,7 +23,7 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..exec import ArtifactCache, StageClock, SweepStats, run_jobs
+from ..exec import ArtifactCache, JobPool, StageClock, SweepStats
 from ..exec.stages import StageCache
 from ..ir import format_program
 from ..machine import (BatchMember, BatchSimulation, CacheConfig, DataCache,
@@ -199,9 +199,10 @@ def run_ablation(routines: Optional[List[str]] = None,
         cache_root=artifacts.root if artifacts is not None else None,
         cache_version=artifacts.version if artifacts is not None else None)
     cells: List[AblationCell] = []
-    for _, rows in run_jobs(job, routines or DEFAULT_ROUTINES, jobs=jobs):
-        for cell, payload in rows:
-            cells.append(cell)
-            if stats is not None:
-                stats.merge_job(payload)
+    with JobPool(jobs) as pool:
+        for _, rows in pool.map(job, routines or DEFAULT_ROUTINES):
+            for cell, payload in rows:
+                cells.append(cell)
+                if stats is not None:
+                    stats.merge_job(payload)
     return AblationResult(cells)

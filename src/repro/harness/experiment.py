@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ccm import compact_spill_memory
-from ..exec import ArtifactCache, StageClock, SweepStats, run_jobs
+from ..exec import ArtifactCache, JobPool, StageClock, SweepStats
 from ..exec.compare import values_match
 from ..exec.stages import VARIANTS, StageCache, compile_program
 from ..ir import Program, format_program
@@ -309,15 +309,16 @@ class ExperimentRunner:
             cache_version=(self.artifacts.version
                            if self.artifacts is not None else None),
             references=dict(self._reference), trace=self.trace)
-        for (name, missing), (rows, reference) in run_jobs(job, items,
-                                                           jobs=jobs):
-            if reference is not None and name not in self._reference:
-                self._reference[name] = reference
-            for (variant, machine), (result, payload) in zip(missing, rows):
-                self.stats.merge_job(payload)
-                if self.recorder is not None:
-                    self.recorder.merge_payload(payload.get("trace"))
-                self._cache[(name, variant, machine.ccm_bytes)] = result
+        with JobPool(jobs) as pool:
+            for (name, missing), (rows, reference) in pool.map(job, items):
+                if reference is not None and name not in self._reference:
+                    self._reference[name] = reference
+                for (variant, machine), (result, payload) in zip(missing,
+                                                                 rows):
+                    self.stats.merge_job(payload)
+                    if self.recorder is not None:
+                        self.recorder.merge_payload(payload.get("trace"))
+                    self._cache[(name, variant, machine.ccm_bytes)] = result
 
     def run_all(self, variant: str, ccm_bytes: int = 512,
                 workloads: Optional[List[str]] = None,
@@ -337,12 +338,12 @@ def compaction_measurements(workloads: Optional[List[str]] = None,
     ``stats``, if given, collects the jobs' stage timings."""
     names = list(workloads) if workloads is not None else suite_names()
     results = []
-    for _, (result, payload) in run_jobs(
-            functools.partial(_compaction_job, machine=machine),
-            names, jobs=jobs):
-        results.append(result)
-        if stats is not None:
-            stats.merge_job(payload)
+    with JobPool(jobs) as pool:
+        for _, (result, payload) in pool.map(
+                functools.partial(_compaction_job, machine=machine), names):
+            results.append(result)
+            if stats is not None:
+                stats.merge_job(payload)
     return results
 
 

@@ -145,9 +145,7 @@ class TraceRecorder:
         self.pid = os.getpid()
         self.events: List[tuple] = []
         self.counters: Dict[str, float] = {}
-        # one recorder may be fed from many threads (the repro.serve
-        # daemon installs a single long-lived recorder and every
-        # connection thread records into it); the counter
+        # one recorder may be fed from many threads; the counter
         # read-modify-write and the event append must not lose updates
         self._lock = threading.Lock()
 

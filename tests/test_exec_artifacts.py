@@ -4,7 +4,10 @@ import os
 
 import pytest
 
+from repro.analysis import liveness_engine, set_liveness_engine
 from repro.exec import ArtifactCache, code_version
+from repro.machine import set_sim_engine, sim_engine
+from repro.regalloc import regalloc_engine, set_regalloc_engine
 
 
 @pytest.fixture
@@ -47,6 +50,33 @@ class TestKeying:
     def test_code_version_stable_within_process(self):
         assert code_version() == code_version()
 
+    @pytest.mark.parametrize("get_engine, set_engine, names", [
+        (liveness_engine, set_liveness_engine, ("bitset", "sets")),
+        (sim_engine, set_sim_engine, ("predecode", "interp", "batch")),
+        (regalloc_engine, set_regalloc_engine,
+         ("chaitin", "ssa", "ssa-everywhere")),
+    ], ids=["liveness", "sim", "regalloc"])
+    def test_key_follows_engine_switched_after_construction(
+            self, cache, get_engine, set_engine, names):
+        # the engines are read when a key is computed, not when the
+        # cache is built: an artifact stored under one engine is never
+        # returned under another
+        previous = get_engine()
+        try:
+            set_engine(names[0])
+            first = cache.key("src", "cfg")
+            cache.put(first, "from " + names[0])
+            for name in names[1:]:
+                set_engine(name)
+                key = cache.key("src", "cfg")
+                assert key != first
+                assert cache.get(key) == (False, None)
+            set_engine(names[0])
+            assert cache.get(cache.key("src", "cfg")) == \
+                (True, "from " + names[0])
+        finally:
+            set_engine(previous)
+
 
 class TestPersistence:
     def test_survives_new_handle(self, tmp_path):
@@ -70,15 +100,6 @@ class TestPersistence:
         cache.clear()
         hit, _ = cache.get(key)
         assert not hit and len(cache) == 0
-
-    def test_put_same_key_first_publish_wins(self, cache):
-        # keys are content addresses, so racing writers hold identical
-        # values; the incumbent is verified and kept (write-once-verify)
-        key = cache.key("src", "cfg")
-        cache.put(key, "first")
-        cache.put(key, "first")
-        assert cache.stores == 1
-        assert cache.get(key) == (True, "first")
 
     def test_put_replaces_corrupt_incumbent(self, cache):
         key = cache.key("src", "cfg")

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.difftest.runner import DiffConfig, run_fuzz
-from repro.exec import ArtifactCache, SweepStats, run_jobs
+from repro.exec import ArtifactCache, JobPool, SweepStats
 from repro.harness.experiment import ExperimentRunner
 
 WORKLOADS = ["decomp", "urand", "svd"]
@@ -31,19 +31,25 @@ def _maybe_fail(n):
     return n
 
 
+def _map(fn, items, jobs):
+    with JobPool(jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 class TestRunJobs:
+    """``JobPool.map``: one flat batch of jobs."""
+
     def test_serial_order(self):
-        assert list(run_jobs(_square, [3, 1, 2], jobs=1)) == \
+        assert _map(_square, [3, 1, 2], jobs=1) == \
             [(3, 9), (1, 1), (2, 4)]
 
     def test_parallel_preserves_submission_order(self):
-        assert list(run_jobs(_square, list(range(20)), jobs=4)) == \
+        assert _map(_square, list(range(20)), jobs=4) == \
             [(n, n * n) for n in range(20)]
 
     def test_parallel_matches_serial(self):
         items = list(range(10))
-        assert list(run_jobs(_square, items, jobs=4)) == \
-            list(run_jobs(_square, items, jobs=1))
+        assert _map(_square, items, jobs=4) == _map(_square, items, jobs=1)
 
     def test_stop_when_halts_early(self):
         seen = []
@@ -51,21 +57,22 @@ class TestRunJobs:
         def stop():
             return len(seen) >= 2
 
-        for item, result in run_jobs(_square, range(100), jobs=1,
-                                     stop_when=stop):
-            seen.append(item)
+        with JobPool(1) as pool:
+            for item, result in pool.map(_square, range(100),
+                                         stop_when=stop):
+                seen.append(item)
         assert seen == [0, 1]
 
     def test_job_exception_propagates_serial(self):
         with pytest.raises(ValueError):
-            list(run_jobs(_maybe_fail, [1, 2, 3], jobs=1))
+            _map(_maybe_fail, [1, 2, 3], jobs=1)
 
     def test_job_exception_propagates_parallel(self):
         with pytest.raises(ValueError):
-            list(run_jobs(_maybe_fail, [1, 2, 3], jobs=4))
+            _map(_maybe_fail, [1, 2, 3], jobs=4)
 
     def test_single_item_never_forks(self):
-        assert list(run_jobs(_square, [7], jobs=8)) == [(7, 49)]
+        assert _map(_square, [7], jobs=8) == [(7, 49)]
 
 
 def _sweep_json(jobs, artifacts=None):

@@ -575,14 +575,13 @@ class TestEngineSelection:
             set_sim_engine(previous)
 
     def test_artifact_cache_keyed_by_engine(self, tmp_path):
+        cache = ArtifactCache(str(tmp_path))
         previous = sim_engine()
         try:
             set_sim_engine("predecode")
-            default_version = ArtifactCache(str(tmp_path)).version
-            assert "+sim-" not in default_version
+            default_key = cache.key("src", "cfg")
             set_sim_engine("interp")
-            oracle_version = ArtifactCache(str(tmp_path)).version
-            assert oracle_version == default_version + "+sim-interp"
+            assert cache.key("src", "cfg") != default_key
         finally:
             set_sim_engine(previous)
 
