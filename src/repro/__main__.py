@@ -6,7 +6,8 @@ Usage::
                                    [--args 1 2.5] [--stats]
     python -m repro emit kernel.mfl [--variant baseline] [--stage ...]
     python -m repro difftest [--seeds N] [-j N] [--profile nightly]
-    python -m repro harness table2 [-j N] [--stats]
+                             [--allocators chaitin,ssa] [--sim-engine interp]
+    python -m repro harness table2 [-j N] [--stats] [--regalloc-engine ssa]
     python -m repro trace compare [--baseline benchmarks/baselines]
 
 ``emit`` prints the ILOC listing at a chosen stage: ``frontend`` (raw
@@ -17,7 +18,10 @@ fuzzer over the allocator config lattice (see :mod:`repro.difftest`);
 :mod:`repro.harness.cli`).  Both are sweep commands: they take
 ``--jobs N`` / ``-j N`` to fan out over worker processes, ``--stats``
 for engine metrics, and share the on-disk artifact cache (emptied by
-``--clear-cache`` or ``rm -rf``).  ``trace`` captures/compares
+``--clear-cache`` or ``rm -rf``).  Engines are chosen per run by flag:
+``harness --regalloc-engine`` picks the register allocator, ``difftest
+--allocators`` the lattice's allocator axis and ``difftest --sim-engine``
+the simulator.  ``trace`` captures/compares
 per-routine compile-quality metric baselines (the regression gate; see
 :mod:`repro.trace.cli`).
 """

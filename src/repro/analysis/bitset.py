@@ -19,8 +19,9 @@ allocator tie-breaking (and therefore every compiled artifact)
 bit-identical to the set-based oracle.
 
 The set-based implementations remain available as a reference oracle
-(select with ``REPRO_LIVENESS_ENGINE=sets`` or
-:func:`repro.analysis.liveness.set_liveness_engine`); the equivalence
+(select with ``engine="sets"`` on
+:func:`repro.analysis.liveness.compute_liveness` and
+:func:`repro.regalloc.build_interference_graph`); the equivalence
 property tests in ``tests/test_bitset_oracle_fuzz.py`` compare the two
 block-for-block and edge-for-edge over the fuzz corpus.
 """

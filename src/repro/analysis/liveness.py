@@ -15,9 +15,7 @@ Two interchangeable engines compute the identical fixpoint:
   numbering, with the set algebra replaced by integer AND/OR/ANDNOT
   (:mod:`repro.analysis.bitset`).  This is the allocation hot path.
 * ``sets`` — the original Python-set implementation, retained as a
-  reference oracle.  Select it with ``REPRO_LIVENESS_ENGINE=sets`` in
-  the environment or :func:`set_liveness_engine`; the difftest CLI
-  exposes it as ``--liveness-engine``.
+  reference oracle.  Select it with ``engine="sets"``.
 
 The equivalence of the two engines is property-tested over the fuzz
 corpus (``tests/test_bitset_oracle_fuzz.py``).
@@ -25,33 +23,12 @@ corpus (``tests/test_bitset_oracle_fuzz.py``).
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..ir import Function, Instruction
 from .bitset import BitLiveness, DenseIndex, compute_liveness_masks
 from .cfg import CFG
-
-_VALID_ENGINES = ("bitset", "sets")
-_engine = os.environ.get("REPRO_LIVENESS_ENGINE", "bitset")
-if _engine not in _VALID_ENGINES:
-    _engine = "bitset"
-
-
-def liveness_engine() -> str:
-    """The active dataflow engine: ``"bitset"`` or ``"sets"``."""
-    return _engine
-
-
-def set_liveness_engine(name: str) -> None:
-    """Select the dataflow engine for liveness *and* interference
-    construction.  ``"sets"`` activates the reference oracle."""
-    global _engine
-    if name not in _VALID_ENGINES:
-        raise ValueError(f"unknown liveness engine {name!r}; "
-                         f"expected one of {_VALID_ENGINES}")
-    _engine = name
 
 
 class _LazySetMap(dict):
@@ -165,11 +142,14 @@ def _step_backward(instr: Instruction, live: Set) -> None:
 
 def compute_liveness(fn: Function, cfg: CFG = None,
                      index: Optional[DenseIndex] = None,
-                     engine: Optional[str] = None) -> LivenessInfo:
-    """Liveness for ``fn`` using the active (or given) engine."""
+                     engine: str = "bitset") -> LivenessInfo:
+    """Liveness for ``fn`` using the given engine."""
     cfg = cfg or CFG(fn)
-    if (engine or _engine) == "sets":
+    if engine == "sets":
         return _compute_liveness_sets(fn, cfg)
+    if engine != "bitset":
+        raise ValueError(f"unknown liveness engine {engine!r}; "
+                         f"expected 'bitset' or 'sets'")
     facts = compute_liveness_masks(fn, cfg, index)
     return LivenessInfo(_LazySetMap(facts.live_in, facts.index),
                         _LazySetMap(facts.live_out, facts.index),

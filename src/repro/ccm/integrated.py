@@ -268,17 +268,16 @@ class IntegratedCcmAllocator(ChaitinBriggsAllocator):
 
 
 def allocate_function_integrated(fn: Function, machine: MachineConfig,
-                                 engine: Optional[str] = None,
+                                 engine: str = "chaitin",
                                  rematerialize: bool = True):
     """Allocate ``fn`` with integrated CCM spilling; returns the
     :class:`~repro.regalloc.chaitin_briggs.AllocationResult`, whose
     ``ccm_exact_sizes`` holds the CCM sizes the allocation is exact for.
 
-    ``engine`` selects the allocator backend (default: the process-wide
-    ``REPRO_REGALLOC_ENGINE``); the SSA backend plugs the same CCM slot
-    provider and graph hook into its own spill machinery."""
-    from ..regalloc.engine import regalloc_engine, spill_mode_for
-    engine = engine or regalloc_engine()
+    ``engine`` selects the allocator backend; the SSA backend plugs the
+    same CCM slot provider and graph hook into its own spill
+    machinery."""
+    from ..regalloc.engine import spill_mode_for
     if engine == "chaitin":
         allocator = IntegratedCcmAllocator(fn, machine,
                                            rematerialize=rematerialize)

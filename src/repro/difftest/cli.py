@@ -7,6 +7,8 @@ Examples::
     python -m repro difftest --seed 1234               # one seed, verbose
     python -m repro difftest --seeds 500 --budget 120  # stop after 120 s
     python -m repro difftest --seeds 50 --json report.json
+    python -m repro difftest --seeds 100 --allocators chaitin,ssa
+    python -m repro difftest --seeds 20 --sim-engine interp  # oracle run
 
 Any divergence is reported with its seed and configuration name; with
 ``--reduce`` the offending program is delta-debugged to a minimal
@@ -17,14 +19,11 @@ reproducer, and with ``--save-corpus`` the reproducer is written to
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
-from ..analysis import set_liveness_engine
 from ..exec import ArtifactCache, SweepStats, default_cache_dir, default_jobs
-from ..machine import set_sim_engine
-from ..regalloc import set_regalloc_engine
+from ..regalloc import REGALLOC_ENGINES
 from ..trace import TraceRecorder, format_summary, write_chrome_trace
 from .corpus import save_corpus_entry
 from .gen import generate_source
@@ -47,26 +46,19 @@ def _parse_ccm_sizes(text: str) -> List[int]:
     return sizes
 
 
-_ALLOCATORS = ("chaitin", "ssa", "ssa-everywhere")
-
-
-def _parse_allocators(text: str) -> List[Optional[str]]:
-    names: List[Optional[str]] = []
+def _parse_allocators(text: str) -> List[str]:
+    names: List[str] = []
     for part in text.split(","):
         part = part.strip()
         if part == "":
             continue
         base = part[:-len("-noremat")] if part.endswith("-noremat") else part
-        if base == "default":
-            # follow REPRO_REGALLOC_ENGINE (optionally without remat)
-            names.append(None if base == part else "-noremat")
-        elif base in _ALLOCATORS:
-            names.append(part)
-        else:
+        if base not in REGALLOC_ENGINES:
             raise argparse.ArgumentTypeError(
                 f"unknown allocator {part!r} (choose from "
-                f"{', '.join(_ALLOCATORS)} or 'default', each optionally "
+                f"{', '.join(REGALLOC_ENGINES)}, each optionally "
                 f"suffixed '-noremat' to disable rematerialization)")
+        names.append(part)
     if not names:
         raise argparse.ArgumentTypeError("need at least one allocator")
     return names
@@ -97,34 +89,18 @@ def build_parser(parser: Optional[argparse.ArgumentParser] = None
                         help="register-file geometry: 'small' (8+8 regs, "
                              "heavy spilling; default) or 'paper' (64 regs)")
     parser.add_argument("--allocators", type=_parse_allocators,
-                        default=[None], metavar="NAME,...",
+                        default=["chaitin"], metavar="NAME,...",
                         help="register-allocator axis of the lattice: "
-                             "comma-separated subset of chaitin, ssa, "
-                             "ssa-everywhere, or 'default' (follow "
-                             "REPRO_REGALLOC_ENGINE; the default). "
+                             "comma-separated subset of chaitin (the "
+                             "default), ssa, ssa-everywhere. "
                              "'chaitin,ssa' doubles the lattice to "
                              "cross-check the two backends.")
-    parser.add_argument("--regalloc-engine",
-                        choices=_ALLOCATORS, default=None,
-                        help="process-wide register-allocator backend "
-                             "(what 'default' in --allocators resolves "
-                             "to). Exported to worker processes via "
-                             "REPRO_REGALLOC_ENGINE.")
-    parser.add_argument("--liveness-engine", choices=("bitset", "sets"),
-                        default=None,
-                        help="dataflow engine for liveness/interference: "
-                             "'bitset' (dense masks; default) or 'sets' "
-                             "(the reference oracle). Exported to worker "
-                             "processes via REPRO_LIVENESS_ENGINE.")
-    parser.add_argument("--sim-engine",
-                        choices=("predecode", "interp", "batch"),
-                        default=None,
-                        help="simulator execution engine: 'predecode' "
-                             "(closure-compiled; default), 'batch' "
-                             "(one shared pass per group of configs "
-                             "that compile to identical code), or "
-                             "'interp' (the reference oracle). Exported "
-                             "to worker processes via REPRO_SIM_ENGINE.")
+    parser.add_argument("--sim-engine", choices=("predecode", "interp"),
+                        default="predecode",
+                        help="simulator engine for the reference and "
+                             "every config: 'predecode' (closure-"
+                             "compiled; default) or 'interp' (the "
+                             "reference oracle)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the JSON report here ('-' for stdout)")
     parser.add_argument("-j", "--jobs", type=int, default=None,
@@ -158,11 +134,12 @@ def build_parser(parser: Optional[argparse.ArgumentParser] = None
     return parser
 
 
-def _reduce_divergence(seed: int, config_names: List[str],
-                       configs) -> Optional[str]:
-    """Shrink the seed's program so it still diverges somewhere."""
+def _reduce_divergence(seed: int, configs,
+                       sim_engine: str) -> Optional[str]:
+    """Shrink the seed's program so it still diverges somewhere on the
+    sweep's lattice and simulator engine."""
     def still_diverges(source: str) -> bool:
-        result = check_source(source, configs)
+        result = check_source(source, configs, sim_engine=sim_engine)
         return bool(result.divergences)
 
     source = generate_source(seed)
@@ -173,17 +150,6 @@ def _reduce_divergence(seed: int, config_names: List[str],
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.liveness_engine is not None:
-        # both for this process and for spawned sweep workers, which
-        # re-read the environment at import
-        os.environ["REPRO_LIVENESS_ENGINE"] = args.liveness_engine
-        set_liveness_engine(args.liveness_engine)
-    if args.sim_engine is not None:
-        os.environ["REPRO_SIM_ENGINE"] = args.sim_engine
-        set_sim_engine(args.sim_engine)
-    if args.regalloc_engine is not None:
-        os.environ["REPRO_REGALLOC_ENGINE"] = args.regalloc_engine
-        set_regalloc_engine(args.regalloc_engine)
     configs = config_lattice(tuple(args.ccm), geometry=args.machine,
                              allocators=tuple(args.allocators))
 
@@ -197,7 +163,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.emit_source:
             print(source)
         result = check_source(source, configs, seed=args.seed,
-                              artifacts=artifacts)
+                              artifacts=artifacts,
+                              sim_engine=args.sim_engine)
         return _report_single(args, result, configs)
 
     n_seeds, start, budget = PROFILES[args.profile]
@@ -223,7 +190,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = run_fuzz(range(start, start + n_seeds), configs,
                       budget_s=budget, progress=progress,
                       jobs=jobs, artifacts=artifacts, stats=stats,
-                      trace=trace, recorder=recorder)
+                      trace=trace, recorder=recorder,
+                      sim_engine=args.sim_engine)
     if args.stats == "-":
         print(stats.format_json(), file=sys.stderr)
     elif args.stats:
@@ -239,9 +207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if (args.reduce or args.save_corpus) and report.divergences:
         for seed in sorted({d.seed for d in report.divergences
                             if d.seed is not None}):
-            minimized = _reduce_divergence(
-                seed, [d.config for d in report.divergences
-                       if d.seed == seed], configs)
+            minimized = _reduce_divergence(seed, configs, args.sim_engine)
             if minimized is None:
                 continue
             reduced[seed] = minimized
@@ -282,9 +248,8 @@ def _report_single(args, result: SeedResult, configs) -> int:
     for d in result.divergences:
         print(f"DIVERGENCE config={d.config} [{d.kind}] {d.detail}")
     if args.reduce:
-        minimized = _reduce_divergence(result.seed,
-                                       [d.config for d in result.divergences],
-                                       configs)
+        minimized = _reduce_divergence(result.seed, configs,
+                                       args.sim_engine)
         if minimized:
             print("--- minimized reproducer ---")
             print(minimized)

@@ -31,14 +31,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec import ArtifactCache, JobPool, StageClock, SweepStats
-from ..exec.batching import group_batches
 from ..exec.compare import values_match as _values_match
 from ..exec.stages import StageCache
 from ..frontend import compile_source
 from ..ir import Program, verify_program
-from ..machine import (BatchMember, BatchSimulation, BatchSplit,
-                       MachineConfig, RunStats, SimulationError, Simulator,
-                       batch_key, sim_engine)
+from ..machine import MachineConfig, RunStats, SimulationError, Simulator
 from ..trace import TraceRecorder, recording
 from .gen import generate_source
 
@@ -75,10 +72,8 @@ class DiffConfig:
     compaction: bool
     ccm_bytes: int
     geometry: str = "small"   # register-file geometry, see GEOMETRIES
-    #: register-allocator backend ("chaitin", "ssa", "ssa-everywhere");
-    #: None follows the process-wide REPRO_REGALLOC_ENGINE, so existing
-    #: lattices run whole-hog under either backend via the env var
-    allocator: Optional[str] = None
+    #: register-allocator backend ("chaitin", "ssa", "ssa-everywhere")
+    allocator: str = "chaitin"
     #: never-killed-constant rematerialization in the allocator; keyed
     #: into config names (and so artifact-cache keys) when disabled
     rematerialize: bool = True
@@ -86,10 +81,9 @@ class DiffConfig:
     @property
     def name(self) -> str:
         suffix = "" if self.geometry == "small" else f"@{self.geometry}"
-        # the explicit default backend keeps historical names (and so
-        # artifact-cache keys) unchanged; env-var-driven runs are
-        # disambiguated by the cache's code-version suffix instead
-        if self.allocator not in (None, "chaitin"):
+        # the default backend keeps historical names (and so
+        # artifact-cache keys) unchanged
+        if self.allocator != "chaitin":
             suffix += f"|{self.allocator}"
         if not self.rematerialize:
             suffix += "|noremat"
@@ -99,25 +93,24 @@ class DiffConfig:
                 f"/ccm{self.ccm_bytes}{suffix}")
 
 
-def _split_allocator(token: Optional[str]) -> Tuple[Optional[str], bool]:
+def _split_allocator(token: str) -> Tuple[str, bool]:
     """An allocator-axis token is a backend name, optionally suffixed
     ``-noremat`` to disable rematerialization for that lattice slice."""
-    if token is not None and token.endswith("-noremat"):
-        return token[:-len("-noremat")] or None, False
+    if token.endswith("-noremat"):
+        return token[:-len("-noremat")], False
     return token, True
 
 
 def config_lattice(ccm_sizes: Sequence[int] = DEFAULT_CCM_SIZES,
                    geometry: str = "small",
-                   allocators: Sequence[Optional[str]] = (None,)
+                   allocators: Sequence[str] = ("chaitin",)
                    ) -> List[DiffConfig]:
     """The full lattice.  Baseline code never touches the CCM, so its
     compiled form is independent of the CCM size; it appears once per
     (opt, compaction) pair instead of once per CCM size.  ``allocators``
-    adds the register-allocator axis (the default single ``None`` entry
-    follows the process-wide engine, keeping the historical 52-config
-    lattice); a ``-noremat`` suffix on a backend name runs that slice
-    with rematerialization disabled."""
+    adds the register-allocator axis (the default single ``"chaitin"``
+    entry is the historical 52-config lattice); a ``-noremat`` suffix on
+    a backend name runs that slice with rematerialization disabled."""
     configs: List[DiffConfig] = []
     for token in allocators:
         allocator, rematerialize = _split_allocator(token)
@@ -227,10 +220,10 @@ def compile_config(program: Program, config: DiffConfig
 # -- execution -----------------------------------------------------------------
 
 
-def _execute(program: Program, machine: MachineConfig,
-             poison: bool) -> Outcome:
+def _execute(program: Program, machine: MachineConfig, poison: bool,
+             sim_engine: str = "predecode") -> Outcome:
     sim = Simulator(program, machine, fuel=FUEL,
-                    poison_caller_saved=poison)
+                    poison_caller_saved=poison, engine=sim_engine)
     try:
         run = sim.run()
     except SimulationError as exc:
@@ -297,17 +290,26 @@ def _check_invariants(config: DiffConfig, stats: RunStats,
 FaultFn = Optional[Callable[[Program], None]]
 
 
-def _lattice_descriptor(configs: Sequence[DiffConfig]) -> str:
-    """Stable artifact-cache config component for one lattice."""
-    return "difftest-lattice:" + ";".join(c.name for c in configs)
+def _lattice_descriptor(configs: Sequence[DiffConfig],
+                        sim_engine: str = "predecode") -> str:
+    """Stable artifact-cache config component for one lattice; the
+    default simulator keeps the historical descriptor."""
+    descriptor = "difftest-lattice:" + ";".join(c.name for c in configs)
+    if sim_engine != "predecode":
+        descriptor += f"|sim={sim_engine}"
+    return descriptor
 
 
 def check_source(source: str, configs: Optional[Sequence[DiffConfig]] = None,
                  seed: Optional[int] = None,
                  fault: FaultFn = None,
                  artifacts: Optional[ArtifactCache] = None,
-                 clock: Optional[StageClock] = None) -> SeedResult:
+                 clock: Optional[StageClock] = None,
+                 sim_engine: str = "predecode") -> SeedResult:
     """Differentially test one MFL source against the whole lattice.
+
+    ``sim_engine`` runs the reference and every config on that
+    simulator engine (``"interp"`` is the reference interpreter).
 
     ``fault``, if given, is applied to each compiled program before
     execution — used to validate that the oracle detects known
@@ -326,7 +328,7 @@ def check_source(source: str, configs: Optional[Sequence[DiffConfig]] = None,
     configs = list(configs) if configs is not None else config_lattice()
     key = None
     if artifacts is not None and fault is None:
-        key = artifacts.key(source, _lattice_descriptor(configs))
+        key = artifacts.key(source, _lattice_descriptor(configs, sim_engine))
         hit, cached = artifacts.get(key)
         if hit:
             cached.seed = seed
@@ -344,30 +346,23 @@ def check_source(source: str, configs: Optional[Sequence[DiffConfig]] = None,
         return _record(artifacts, key, result)
     try:
         with _timed(clock, "execute"):
-            reference = _execute(base, MachineConfig(), poison=False)
+            reference = _execute(base, MachineConfig(), poison=False,
+                                 sim_engine=sim_engine)
     except SimulationError as exc:
         result.skipped = f"reference machine error: {exc}"
         return _record(artifacts, key, result)
 
     stages = StageCache(base)
-    if sim_engine() == "batch":
-        divergences = _check_all_batched(stages, configs, reference,
-                                         fault, clock)
-    else:
-        # dynamic stack-spill traffic of the baseline per (opt,
-        # allocator, remat) setting, for the post-pass conservation
-        # invariant
-        baseline_spill: Dict[tuple, int] = {}
-        divergences = []
-        for config in configs:
-            divergence = _check_one(stages, config, reference,
-                                    baseline_spill, fault, clock)
-            if divergence is not None:
-                divergences.append(divergence)
-    for divergence in divergences:
-        divergence.seed = seed
-        divergence.source = source
-        result.divergences.append(divergence)
+    # dynamic stack-spill traffic of the baseline per (opt, allocator,
+    # remat) setting, for the post-pass conservation invariant
+    baseline_spill: Dict[tuple, int] = {}
+    for config in configs:
+        divergence = _check_one(stages, config, reference, baseline_spill,
+                                fault, clock, sim_engine)
+        if divergence is not None:
+            divergence.seed = seed
+            divergence.source = source
+            result.divergences.append(divergence)
     return _record(artifacts, key, result)
 
 
@@ -396,7 +391,8 @@ def _record(artifacts: Optional[ArtifactCache], key: Optional[str],
 def _check_one(stages: StageCache, config: DiffConfig, reference: Outcome,
                baseline_spill: Dict[tuple, int],
                fault: FaultFn = None,
-               clock: Optional[StageClock] = None) -> Optional[Divergence]:
+               clock: Optional[StageClock] = None,
+               sim_engine: str = "predecode") -> Optional[Divergence]:
     try:
         with _timed(clock, "compile"):
             program, machine = finalize_config(stages, config)
@@ -407,25 +403,20 @@ def _check_one(stages: StageCache, config: DiffConfig, reference: Outcome,
         fault(program)
     try:
         with _timed(clock, "execute"):
-            outcome = _execute(program, machine, poison=True)
+            outcome = _execute(program, machine, poison=True,
+                               sim_engine=sim_engine)
     except SimulationError as exc:
-        return _machine_error_divergence(config, exc, reference)
+        return Divergence(None, config.name, "trap",
+                          f"machine error in compiled code: {exc} "
+                          f"(reference: {reference.kind})")
     return _judge(config, outcome, reference, baseline_spill, fault)
-
-
-def _machine_error_divergence(config: DiffConfig, exc: SimulationError,
-                              reference: Outcome) -> Divergence:
-    return Divergence(None, config.name, "trap",
-                      f"machine error in compiled code: {exc} "
-                      f"(reference: {reference.kind})")
 
 
 def _judge(config: DiffConfig, outcome: Outcome, reference: Outcome,
            baseline_spill: Dict[tuple, int],
            fault: FaultFn = None) -> Optional[Divergence]:
     """Compare one config's outcome against the reference and the
-    sanity invariants — shared verbatim by the per-config scalar loop
-    and the batched path, so both report identical divergences."""
+    sanity invariants."""
     if reference.kind == "trap":
         if outcome.kind != "trap":
             return Divergence(None, config.name, "trap",
@@ -466,110 +457,15 @@ def _judge(config: DiffConfig, outcome: Outcome, reference: Outcome,
     return None
 
 
-def _check_all_batched(stages: StageCache, configs: Sequence[DiffConfig],
-                       reference: Outcome, fault: FaultFn = None,
-                       clock: Optional[StageClock] = None
-                       ) -> List[Divergence]:
-    """The whole lattice under the batch simulation engine.
-
-    Compiles every config first, groups them by
-    :func:`repro.machine.batch_key` (configs whose programs compile to
-    identical code under an architecturally-identical machine), runs
-    one :class:`BatchSimulation` per group, then judges each config in
-    lattice order with the same logic as the scalar loop — the
-    resulting :class:`SeedResult` is bit-identical, only the execute
-    stage is shared.  Execute time lands in ``execute.batch`` /
-    ``execute.scalar`` instead of ``execute``; fingerprint/grouping
-    time lands in ``group``.
-
-    Only one *representative* program clone is kept per group — a
-    member's contribution beyond its fingerprint is just its machine.
-    Dropping the other clones as they are keyed matters: holding a
-    whole lattice of compiled programs alive makes every later
-    compile and simulate pay for garbage-collector sweeps over it.
-    """
-    n = len(configs)
-    keys: List[Optional[tuple]] = []
-    machines: List[Optional[MachineConfig]] = [None] * n
-    representatives: Dict[tuple, Program] = {}
-    compile_errors: Dict[int, Divergence] = {}
-    for index, config in enumerate(configs):
-        try:
-            with _timed(clock, "compile"):
-                program, machine = finalize_config(stages, config)
-        except Exception as exc:
-            compile_errors[index] = Divergence(
-                None, config.name, "compile_error",
-                f"{type(exc).__name__}: {exc}")
-            keys.append(None)
-            continue
-        if fault is not None:
-            fault(program)
-        with _timed(clock, "group"):
-            key = batch_key(program, machine)
-        keys.append(key)
-        machines[index] = machine
-        representatives.setdefault(key, program)
-
-    outcomes: List[Optional[Outcome]] = [None] * n
-    machine_errors: List[Optional[SimulationError]] = [None] * n
-    pending = group_batches(keys)
-    while pending:
-        group = pending.pop()
-        program = representatives[keys[group[0]]]
-        batch = BatchSimulation(
-            program, [BatchMember(machines[i]) for i in group],
-            fuel=FUEL, poison_caller_saved=True, clock=clock)
-        try:
-            runs = batch.run()
-        except BatchSplit as split:
-            # the group's ccm_bytes limits actually diverged (watermark
-            # reached, or a trap with mixed limits): re-dispatch each
-            # limit class as its own strict single-limit batch
-            pending.extend([group[j] for j in sub] for sub in split.groups)
-            continue
-        except SimulationError as exc:
-            # architectural determinism: the whole group shares the
-            # trap (or machine error) and the post-trap global state
-            if exc.kind == "trap":
-                shared = Outcome("trap", trap=str(exc),
-                                 globals=batch.globals_snapshot())
-                for i in group:
-                    outcomes[i] = shared
-            else:
-                for i in group:
-                    machine_errors[i] = exc
-            continue
-        shared_globals = batch.globals_snapshot()
-        for i, run in zip(group, runs):
-            outcomes[i] = Outcome("value", value=run.value,
-                                  globals=shared_globals, stats=run.stats)
-
-    baseline_spill: Dict[tuple, int] = {}
-    divergences: List[Divergence] = []
-    for index, config in enumerate(configs):
-        if index in compile_errors:
-            divergences.append(compile_errors[index])
-            continue
-        if machine_errors[index] is not None:
-            divergences.append(_machine_error_divergence(
-                config, machine_errors[index], reference))
-            continue
-        divergence = _judge(config, outcomes[index], reference,
-                            baseline_spill, fault)
-        if divergence is not None:
-            divergences.append(divergence)
-    return divergences
-
-
 def check_seed(seed: int, configs: Optional[Sequence[DiffConfig]] = None,
-               artifacts: Optional[ArtifactCache] = None) -> SeedResult:
+               artifacts: Optional[ArtifactCache] = None,
+               sim_engine: str = "predecode") -> SeedResult:
     """Generate the seed's program and differentially test it."""
     return check_source(generate_source(seed), configs, seed=seed,
-                        artifacts=artifacts)
+                        artifacts=artifacts, sim_engine=sim_engine)
 
 
-def _seed_job(seed: int, configs: Sequence[DiffConfig],
+def _seed_job(seed: int, configs: Sequence[DiffConfig], sim_engine: str,
               cache_root: Optional[str], cache_version: Optional[str],
               trace: bool = False) -> Tuple[SeedResult, dict]:
     """One pool job: check one seed, with timing and artifact caching.
@@ -589,14 +485,15 @@ def _seed_job(seed: int, configs: Sequence[DiffConfig],
     recorder = TraceRecorder() if trace else None
     with clock.stage("generate"):
         source = generate_source(seed)
+    check = functools.partial(check_source, source, configs, seed=seed,
+                              artifacts=artifacts, clock=clock,
+                              sim_engine=sim_engine)
     with clock.stage("check"):
         if recorder is not None:
             with recording(recorder):
-                result = check_source(source, configs, seed=seed,
-                                      artifacts=artifacts, clock=clock)
+                result = check()
         else:
-            result = check_source(source, configs, seed=seed,
-                                  artifacts=artifacts, clock=clock)
+            result = check()
     payload = clock.to_payload(
         cache_hit=artifacts is not None and artifacts.hits > 0)
     if artifacts is not None:
@@ -615,7 +512,8 @@ def run_fuzz(seeds: Sequence[int],
              artifacts: Optional[ArtifactCache] = None,
              stats: Optional[SweepStats] = None,
              trace: bool = False,
-             recorder: Optional[TraceRecorder] = None) -> FuzzReport:
+             recorder: Optional[TraceRecorder] = None,
+             sim_engine: str = "predecode") -> FuzzReport:
     """Fuzz a batch of seeds, stopping early when the budget runs out.
 
     ``jobs > 1`` fans seeds out over worker processes; results are
@@ -624,7 +522,8 @@ def run_fuzz(seeds: Sequence[int],
     cache; ``stats`` collects per-stage timing and hit rates.
     ``trace`` turns on per-seed pipeline tracing: counters aggregate
     into ``stats.trace`` and, when ``recorder`` is given, span events
-    merge into it for Chrome-trace export.
+    merge into it for Chrome-trace export.  ``sim_engine`` selects the
+    simulator every seed runs on (see :func:`check_source`).
     """
     configs = list(configs) if configs is not None else config_lattice()
     report = FuzzReport()
@@ -632,7 +531,7 @@ def run_fuzz(seeds: Sequence[int],
     over_budget = (None if budget_s is None
                    else lambda: time.time() - start > budget_s)
     job = functools.partial(
-        _seed_job, configs=configs,
+        _seed_job, configs=configs, sim_engine=sim_engine,
         cache_root=artifacts.root if artifacts is not None else None,
         cache_version=artifacts.version if artifacts is not None else None,
         trace=trace or recorder is not None)

@@ -14,15 +14,12 @@ share:
   parallel path is bit-identical to the serial one; ``submit`` serves
   schedulers that release work incrementally.
 * :mod:`repro.exec.artifacts` — a content-addressed on-disk cache
-  (get/put/clear) keyed by (source text, pipeline config, code version,
-  current engines).  It sits *under* the existing in-memory memoization
+  (get/put/clear) keyed by (source text, pipeline config, code
+  version).  It sits *under* the existing in-memory memoization
   and makes repeat sweeps across CLI invocations near-free.
 * :mod:`repro.exec.stats` — per-stage wall/CPU timing and cache
   hit-rate accounting, surfaced as ``--stats`` JSON so perf regressions
   in the compiler itself stay visible.
-* :mod:`repro.exec.batching` — deterministic grouping of jobs into
-  simulation batches for the batch engine (one architectural pass per
-  group of configs that compile to identical code).
 * :mod:`repro.exec.wholeprog` — the SCC-partitioned whole-program
   compilation driver: condense the call graph, schedule SCC waves onto
   a persistent :class:`~repro.exec.pool.JobPool` callee-before-caller,
@@ -35,7 +32,6 @@ and fail the other).
 """
 
 from .artifacts import ArtifactCache, code_version, default_cache_dir
-from .batching import group_batches
 from .compare import FLOAT_RTOL, values_match
 from .pool import JobPool, default_jobs
 from .stats import StageClock, SweepStats
@@ -44,7 +40,6 @@ from .wholeprog import (SccSchedule, WholeProgramReport,
 
 __all__ = [
     "ArtifactCache", "code_version", "default_cache_dir",
-    "group_batches",
     "FLOAT_RTOL", "values_match",
     "JobPool", "default_jobs",
     "StageClock", "SweepStats",

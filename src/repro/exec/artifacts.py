@@ -8,22 +8,19 @@ statistics — never live ``Program`` objects) across invocations.
 
 Key scheme
 ----------
-An entry's key is ``sha256`` over four components:
+An entry's key is ``sha256`` over three components:
 
 * **source text** — the exact program text the job compiles (MFL source
   for difftest seeds, the printed IR for harness workloads), so any
   generator or suite change invalidates precisely the affected entries;
 * **pipeline config** — a caller-built descriptor string covering
   everything that influences the result (variant, CCM size, machine
-  geometry, optimization flags, lattice shape, verification mode);
+  geometry, optimization flags, lattice shape, verification mode, and
+  the allocator or simulator engine when it is not the default);
 * **code version** — a digest of every ``*.py`` file in the ``repro``
   package, so editing *any* compiler/simulator source invalidates the
   whole cache.  Correctness beats reuse: a stale hit after a compiler
-  change would silently mask the change under test;
-* **engines** — the liveness, simulator and register-allocator engines
-  current when the key is computed (not when the cache was built), so
-  switching an engine mid-process never replays an artifact another
-  engine produced.
+  change would silently mask the change under test.
 
 Entries live under ``<root>/objects/<k[:2]>/<k>.pkl``, a git-style
 key-prefix fan-out that keeps directory listings short.  ``root``
@@ -95,37 +92,10 @@ def code_version() -> str:
     return _code_version
 
 
-def _engine_suffix() -> str:
-    """The non-default engines current right now, as a version suffix.
-
-    The liveness and simulator engines are designed to be
-    output-identical, but the whole point of selecting a reference
-    oracle (e.g. in a difftest run) is to *recompute* rather than
-    replay cached default-engine artifacts.  The register-allocator
-    backends produce *different* (but behaviorally equivalent) code, so
-    their artifacts may never share a cache entry.
-    """
-    from ..analysis import liveness_engine
-    from ..machine import sim_engine
-    from ..regalloc import regalloc_engine
-    suffix = ""
-    engine = liveness_engine()
-    if engine != "bitset":
-        suffix += f"+{engine}"
-    engine = sim_engine()
-    if engine != "predecode":
-        suffix += f"+sim-{engine}"
-    engine = regalloc_engine()
-    if engine != "chaitin":
-        suffix += f"+regalloc-{engine}"
-    return suffix
-
-
 class ArtifactCache:
     """Pickle-backed content-addressed store; see the module docstring.
 
-    ``version`` overrides the code digest (tests pin it); the engines
-    are folded into every :meth:`key` either way.
+    ``version`` overrides the code digest (tests pin it).
     """
 
     def __init__(self, root: Optional[str] = None,
@@ -140,11 +110,9 @@ class ArtifactCache:
     # -- keys -----------------------------------------------------------------
 
     def key(self, source_text: str, config: str) -> str:
-        """Content address of one job: (source, config, code version,
-        current engines)."""
+        """Content address of one job: (source, config, code version)."""
         digest = hashlib.sha256()
-        for part in (_FORMAT, self.version + _engine_suffix(), config,
-                     source_text):
+        for part in (_FORMAT, self.version, config, source_text):
             digest.update(part.encode())
             digest.update(b"\x00")
         return digest.hexdigest()

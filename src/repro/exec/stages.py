@@ -23,9 +23,8 @@ on:
   snapshot so the snapshot stays pristine.
 
 Snapshots are keyed by the machine with ``ccm_bytes`` zeroed, the
-optimize flag, rematerialization and the *resolved* allocator engine
-name, so switching the process-wide engine between two requests can
-never alias them.
+optimize flag, rematerialization and the allocator engine name, so two
+requests under different engines never alias.
 :func:`compile_program` runs the same stage functions in place on one
 program, so the variant-to-passes mapping lives only here.
 """
@@ -40,8 +39,7 @@ from ..ccm import (allocate_function_integrated, compact_spill_memory,
 from ..ir import Function, Program, verify_program
 from ..machine import MachineConfig
 from ..opt import optimize_program
-from ..regalloc import (allocate_function, lower_calling_convention,
-                        regalloc_engine)
+from ..regalloc import allocate_function, lower_calling_convention
 
 VARIANTS = ("baseline", "postpass", "postpass_cg", "integrated")
 
@@ -95,12 +93,12 @@ def finish_stage(prog: Program, machine: MachineConfig, variant: str,
             compact_spill_memory(fn)
 
 
-def compile_program(prog: Program, machine: MachineConfig,
-                    variant: str) -> None:
-    """Optimize, lower, allocate and finish every function of ``prog`` in
-    place under the given variant, then verify it."""
+def compile_program(prog: Program, machine: MachineConfig, variant: str,
+                    engine: str = "chaitin") -> None:
+    """Optimize, lower, allocate (with the ``engine`` backend) and finish
+    every function of ``prog`` in place under the given variant, then
+    verify it."""
     _check_variant(variant)
-    engine = regalloc_engine()
     lower_stage(prog, machine)
     if variant == "integrated":
         for fn in prog.functions.values():
@@ -155,10 +153,9 @@ class StageCache:
         return self._lowered[key]
 
     def allocated(self, machine: MachineConfig, optimize: bool = True,
-                  engine: Optional[str] = None,
+                  engine: str = "chaitin",
                   rematerialize: bool = True) -> Program:
         """Baseline (stack-spilling) allocation of the lowered program."""
-        engine = engine or regalloc_engine()
         key = (replace(machine, ccm_bytes=0), optimize, engine,
                rematerialize)
         if key not in self._allocated:
@@ -168,12 +165,11 @@ class StageCache:
         return self._allocated[key]
 
     def integrated(self, machine: MachineConfig, optimize: bool = True,
-                   engine: Optional[str] = None,
+                   engine: str = "chaitin",
                    rematerialize: bool = True) -> Program:
         """Integrated allocation at ``machine.ccm_bytes``: each function
         reuses a stored allocation whose exact-size interval contains
         the size, and is allocated afresh (and stored) otherwise."""
-        engine = engine or regalloc_engine()
         key = (replace(machine, ccm_bytes=0), optimize, engine,
                rematerialize)
         stored = self._integrated.setdefault(key, {})
@@ -192,7 +188,7 @@ class StageCache:
         return _with_functions(lowered, functions)
 
     def compile(self, machine: MachineConfig, variant: str,
-                optimize: bool = True, engine: Optional[str] = None,
+                optimize: bool = True, engine: str = "chaitin",
                 rematerialize: bool = True,
                 compaction: bool = False) -> Program:
         """The finished, verified program of one cell (a fresh clone)."""

@@ -126,30 +126,6 @@ class SweepStats:
             for name, value in trace_payload.get("counters", {}).items():
                 self.trace[name] = self.trace.get(name, 0) + value
 
-    def rolled_stages(self) -> Dict[str, StageStat]:
-        """Stages plus parent roll-ups for dotted sub-stage names.
-
-        Engines attribute their share of a stage with a dotted suffix —
-        the batch simulation engine records ``execute.batch`` (the
-        shared architectural pass) and ``execute.scalar`` (per-config
-        fallback runs) where the scalar engines record plain
-        ``execute``.  Rolling sub-stages up into their parent keeps
-        ``stages.execute`` comparable across engines in ``--stats``
-        output, which is what makes a cross-engine speedup claim
-        measurable, while the sub-stage entries preserve the
-        attribution.
-        """
-        merged: Dict[str, StageStat] = {
-            name: StageStat(stat.calls, stat.wall_s, stat.cpu_s)
-            for name, stat in self.stages.items()}
-        for name, stat in self.stages.items():
-            parent = name.split(".", 1)[0]
-            if parent == name:
-                continue
-            agg = merged.setdefault(parent, StageStat())
-            agg.add(stat.wall_s, stat.cpu_s, stat.calls)
-        return merged
-
     def to_json(self) -> dict:
         payload = {
             "jobs": self.jobs,
@@ -164,7 +140,7 @@ class SweepStats:
             },
             "wall_s": round(self.wall_s, 3),
             "stages": {name: stat.to_json()
-                       for name, stat in sorted(self.rolled_stages().items())},
+                       for name, stat in sorted(self.stages.items())},
         }
         if self.trace:
             payload["trace"] = {

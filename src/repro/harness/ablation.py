@@ -26,8 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from ..exec import ArtifactCache, JobPool, StageClock, SweepStats
 from ..exec.stages import StageCache
 from ..ir import format_program
-from ..machine import (BatchMember, BatchSimulation, CacheConfig, DataCache,
-                       MachineConfig, sim_engine)
+from ..machine import CacheConfig, DataCache, MachineConfig
 from ..machine.simulator import Simulator
 from ..workloads.suite import build_routine
 
@@ -116,14 +115,15 @@ class AblationResult:
 
 
 def _cell_key(artifacts: ArtifactCache, program_text: str, config_name: str,
-              machine: MachineConfig) -> str:
+              machine: MachineConfig, allocator: str) -> str:
     variant, cache_config = CONFIGS[config_name]
-    return artifacts.key(
-        program_text,
-        f"ablation:{config_name}:{variant}:{cache_config!r}:{machine!r}")
+    config = f"ablation:{config_name}:{variant}:{cache_config!r}:{machine!r}"
+    if allocator != "chaitin":
+        config += f":regalloc={allocator}"
+    return artifacts.key(program_text, config)
 
 
-def _ablation_job(routine: str, machine: MachineConfig, batch: bool,
+def _ablation_job(routine: str, machine: MachineConfig, allocator: str,
                   cache_root: Optional[str], cache_version: Optional[str]
                   ) -> List[Tuple[AblationCell, dict]]:
     """One pool job: every ablation cell of one routine, as
@@ -131,12 +131,7 @@ def _ablation_job(routine: str, machine: MachineConfig, batch: bool,
 
     The routine is built once and compiled once per variant through one
     :class:`StageCache` (the baseline allocation is shared by every
-    variant).  ``batch`` simulates each variant's cells in one shared
-    :class:`BatchSimulation` pass — the four cache ablations run the
-    identical baseline-compiled routine and differ only in their
-    attached cache, which is exactly the batch engine's fan-out axis —
-    instead of one scalar run per cell; the cells are bit-identical
-    either way.  Artifact-cache keys and payloads are per cell.
+    variant).  Artifact-cache keys and payloads are per cell.
     """
     clocks = {name: StageClock() for name in CONFIGS}
     artifacts = (ArtifactCache(cache_root, version=cache_version)
@@ -148,7 +143,8 @@ def _ablation_job(routine: str, machine: MachineConfig, batch: bool,
     if artifacts is not None:
         text = format_program(prog)
         for name in CONFIGS:
-            keys[name] = _cell_key(artifacts, text, name, machine)
+            keys[name] = _cell_key(artifacts, text, name, machine,
+                                   allocator)
             hit, cached = artifacts.get(keys[name])
             if hit:
                 cells[name] = cached
@@ -161,18 +157,12 @@ def _ablation_job(routine: str, machine: MachineConfig, batch: bool,
     for variant, names in missing.items():
         clock = clocks[names[0]]
         with clock.stage("compile"):
-            compiled = stages.compile(machine, variant)
+            compiled = stages.compile(machine, variant, engine=allocator)
         with clock.stage("simulate"):
-            if batch:
-                runs = BatchSimulation(
-                    compiled, [BatchMember(machine, CONFIGS[name][1])
-                               for name in names],
-                    poison_caller_saved=True).run()
-            else:
-                runs = [Simulator(compiled, machine,
-                                  cache=DataCache(CONFIGS[name][1]),
-                                  poison_caller_saved=True).run()
-                        for name in names]
+            runs = [Simulator(compiled, machine,
+                              cache=DataCache(CONFIGS[name][1]),
+                              poison_caller_saved=True).run()
+                    for name in names]
         for name, run in zip(names, runs):
             cstats = run.stats.cache
             cells[name] = AblationCell(
@@ -192,10 +182,11 @@ def run_ablation(routines: Optional[List[str]] = None,
                  machine: Optional[MachineConfig] = None,
                  jobs: int = 1,
                  artifacts: Optional[ArtifactCache] = None,
-                 stats: Optional[SweepStats] = None) -> AblationResult:
+                 stats: Optional[SweepStats] = None,
+                 allocator: str = "chaitin") -> AblationResult:
     machine = machine or MachineConfig(ccm_bytes=1024)
     job = functools.partial(
-        _ablation_job, machine=machine, batch=sim_engine() == "batch",
+        _ablation_job, machine=machine, allocator=allocator,
         cache_root=artifacts.root if artifacts is not None else None,
         cache_version=artifacts.version if artifacts is not None else None)
     cells: List[AblationCell] = []

@@ -4,6 +4,7 @@ Usage::
 
     python -m repro.harness table1
     python -m repro.harness table2 [--ccm 512] [--routines a,b,c]
+    python -m repro.harness table2 --regalloc-engine ssa
     python -m repro.harness table3
     python -m repro.harness table4
     python -m repro.harness fig3
@@ -29,6 +30,7 @@ import time
 from typing import List, Optional
 
 from ..exec import ArtifactCache, SweepStats, default_cache_dir, default_jobs
+from ..regalloc import REGALLOC_ENGINES
 from ..trace import TraceRecorder, format_summary, write_chrome_trace
 from .ablation import run_ablation
 from .experiment import ExperimentRunner
@@ -62,24 +64,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="CCM size in bytes for table2 (default 512)")
     parser.add_argument("--routines", type=str, default="",
                         help="comma-separated routine subset")
-    parser.add_argument("--sim-engine",
-                        choices=("predecode", "interp", "batch"),
-                        default=None,
-                        help="simulator execution engine: 'predecode' "
-                             "(closure-compiled; default), 'batch' "
-                             "(one shared pass per group of identical "
-                             "compiled programs), or 'interp' (the "
-                             "reference oracle). Exported to worker "
-                             "processes via REPRO_SIM_ENGINE.")
     parser.add_argument("--regalloc-engine",
-                        choices=("chaitin", "ssa", "ssa-everywhere"),
-                        default=None,
+                        choices=REGALLOC_ENGINES, default="chaitin",
                         help="register-allocator backend: 'chaitin' "
                              "(Chaitin-Briggs; default), 'ssa' (SSA-form "
                              "spilling with load/store range splitting) "
-                             "or 'ssa-everywhere' (SSA spill-everywhere). "
-                             "Exported to worker processes via "
-                             "REPRO_REGALLOC_ENGINE.")
+                             "or 'ssa-everywhere' (SSA spill-everywhere)")
     parser.add_argument("-j", "--jobs", type=int, default=None, metavar="N",
                         help="worker processes (default: all cores; "
                              "-j 1 is the deterministic serial path)")
@@ -102,22 +92,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(implies --trace)")
     args = parser.parse_args(argv)
 
-    if args.sim_engine is not None:
-        # both for this process and for spawned sweep workers, which
-        # re-read the environment at import
-        import os
-
-        from ..machine import set_sim_engine
-        os.environ["REPRO_SIM_ENGINE"] = args.sim_engine
-        set_sim_engine(args.sim_engine)
-
-    if args.regalloc_engine is not None:
-        import os
-
-        from ..regalloc import set_regalloc_engine
-        os.environ["REPRO_REGALLOC_ENGINE"] = args.regalloc_engine
-        set_regalloc_engine(args.regalloc_engine)
-
+    allocator = args.regalloc_engine
     workloads = _routine_list(args.routines)
     jobs = args.jobs if args.jobs is not None else default_jobs()
     artifacts = (None if args.no_cache
@@ -126,44 +101,42 @@ def main(argv: Optional[List[str]] = None) -> int:
         artifacts.clear()
     trace = args.trace or args.trace_out is not None
     recorder = TraceRecorder() if trace else None
-    runner = ExperimentRunner(jobs=jobs, artifacts=artifacts,
-                              trace=trace, recorder=recorder)
+    runner = ExperimentRunner(jobs=jobs, allocator=allocator,
+                              artifacts=artifacts, trace=trace,
+                              recorder=recorder)
     start = time.time()
 
     if args.target == "experiments":
         from .report import main as report_main
-        return report_main(jobs=jobs, artifacts=artifacts)
+        return report_main(jobs=jobs, artifacts=artifacts,
+                           allocator=allocator)
 
     targets = ([args.target] if args.target != "all" else
                ["table1", "table2", "table3", "table4", "fig3", "fig4",
                 "ablation"])
     for target in targets:
         if target == "table1":
-            print(table1(workloads, jobs=jobs, stats=runner.stats).format())
+            print(table1(workloads, jobs=jobs, stats=runner.stats,
+                         allocator=allocator).format())
         elif target == "table2":
             print(table2(runner, args.ccm, workloads).format())
         elif target == "table3":
             print(table3(runner, workloads).format())
         elif target == "table4":
             print(table4(runner, workloads).format())
-        elif target == "fig3":
+        elif target in ("fig3", "fig4"):
             fig = figure(program_runner(jobs=jobs, artifacts=artifacts,
                                         trace=trace, recorder=recorder,
-                                        stats=runner.stats), 512)
-            print(fig.format())
-            print()
-            print(fig.render_bars())
-        elif target == "fig4":
-            fig = figure(program_runner(jobs=jobs, artifacts=artifacts,
-                                        trace=trace, recorder=recorder,
-                                        stats=runner.stats),
-                         1024)
+                                        stats=runner.stats,
+                                        allocator=allocator),
+                         512 if target == "fig3" else 1024)
             print(fig.format())
             print()
             print(fig.render_bars())
         elif target == "ablation":
             print(run_ablation(workloads, jobs=jobs, artifacts=artifacts,
-                               stats=runner.stats).format())
+                               stats=runner.stats,
+                               allocator=allocator).format())
         print()
 
     runner.stats.wall_s += time.time() - start

@@ -20,9 +20,9 @@ the two layers of :mod:`repro.exec`: ``jobs > 1`` fans the workload
 jobs out over worker processes, and an
 :class:`~repro.exec.ArtifactCache` persists finished cells across CLI
 invocations, keyed by the workload's printed IR + the cell's pipeline
-configuration + the package code version.  Both layers are exact: a
-parallel or cache-served sweep reports bit-identical rows to a cold
-serial one.
+configuration (including a non-default allocator) + the package code
+version.  Both layers are exact: a parallel or cache-served sweep
+reports bit-identical rows to a cold serial one.
 """
 
 from __future__ import annotations
@@ -89,13 +89,18 @@ def _reference_run(prog: Program):
 
 
 def _variant_descriptor(variant: str, machine: MachineConfig,
-                        verify_values: bool) -> str:
-    """Artifact-cache pipeline-config component for one harness cell."""
-    return (f"harness:{variant}:verify={verify_values}:{machine!r}")
+                        verify_values: bool, allocator: str) -> str:
+    """Artifact-cache pipeline-config component for one harness cell;
+    the default allocator keeps the historical descriptor."""
+    descriptor = f"harness:{variant}:verify={verify_values}:{machine!r}"
+    if allocator != "chaitin":
+        descriptor += f":regalloc={allocator}"
+    return descriptor
 
 
 def _workload_job(item: Tuple[str, Tuple[Tuple[str, MachineConfig], ...]],
                   build: Callable[[str], Program], verify_values: bool,
+                  allocator: str,
                   cache_root: Optional[str], cache_version: Optional[str],
                   references: Optional[Dict[str, object]] = None,
                   trace: bool = False
@@ -117,19 +122,19 @@ def _workload_job(item: Tuple[str, Tuple[Tuple[str, MachineConfig], ...]],
     artifact cache compiles nothing and carries no trace payload.
     """
     if not trace:
-        return _workload_job_inner(item, build, verify_values, cache_root,
-                                   cache_version, references)
+        return _workload_job_inner(item, build, verify_values, allocator,
+                                   cache_root, cache_version, references)
     recorder = TraceRecorder()
     with recording(recorder):
         rows, reference = _workload_job_inner(item, build, verify_values,
-                                              cache_root, cache_version,
-                                              references)
+                                              allocator, cache_root,
+                                              cache_version, references)
     if recorder.events:
         rows[-1][1]["trace"] = recorder.to_payload()
     return rows, reference
 
 
-def _workload_job_inner(item, build, verify_values, cache_root,
+def _workload_job_inner(item, build, verify_values, allocator, cache_root,
                         cache_version, references):
     workload, cells = item
     clocks = [StageClock() for _ in cells]
@@ -148,7 +153,7 @@ def _workload_job_inner(item, build, verify_values, cache_root,
         if artifacts is not None:
             key = artifacts.key(source_text,
                                 _variant_descriptor(variant, machine,
-                                                    verify_values))
+                                                    verify_values, allocator))
             hit, cached = artifacts.get(key)
             if hit:
                 rows.append((cached, clock.to_payload(cache_hit=True)))
@@ -157,7 +162,7 @@ def _workload_job_inner(item, build, verify_values, cache_root,
             reference = _reference_value(prog, artifacts, source_text,
                                          clock)
         with clock.stage("compile"):
-            compiled = stages.compile(machine, variant)
+            compiled = stages.compile(machine, variant, engine=allocator)
         with clock.stage("simulate"):
             run = Simulator(compiled, machine,
                             poison_caller_saved=True).run()
@@ -178,7 +183,8 @@ def _workload_job_inner(item, build, verify_values, cache_root,
 
 def _reference_value(prog: Program, artifacts: Optional[ArtifactCache],
                      source_text: Optional[str], clock: StageClock):
-    """The workload's reference value, from the artifact cache or run."""
+    """The workload's reference value, from the artifact cache or run.
+    The reference is unallocated, so one entry serves every allocator."""
     ref_key = None
     if artifacts is not None:
         ref_key = artifacts.key(source_text, "harness:reference")
@@ -207,7 +213,9 @@ class ExperimentRunner:
     """Compiles and simulates workloads, with memoization.
 
     ``jobs`` sets the default fan-out for :meth:`run_cells` (1 = serial
-    in-process).  ``artifacts`` plugs in the persistent on-disk cache;
+    in-process).  ``allocator`` names the register-allocator backend
+    every cell compiles with (see :mod:`repro.regalloc.engine`).
+    ``artifacts`` plugs in the persistent on-disk cache;
     ``stats`` accumulates per-stage timing and cache hit rates across
     everything this runner executes (pass one in to share it).
     """
@@ -217,6 +225,7 @@ class ExperimentRunner:
     build: Callable[[str], Program] = None
     verify_values: bool = True
     jobs: int = 1
+    allocator: str = "chaitin"
     artifacts: Optional[ArtifactCache] = None
     #: enable per-job tracing; counters aggregate into ``stats.trace``
     #: and, when ``recorder`` is set, events merge into it for export
@@ -266,7 +275,7 @@ class ExperimentRunner:
                              cache: DataCache) -> VariantResult:
         machine = self.machine(ccm_bytes)
         prog = self.build(workload)
-        compile_program(prog, machine, variant)
+        compile_program(prog, machine, variant, self.allocator)
         sim = Simulator(prog, machine, cache=cache, poison_caller_saved=True)
         run = sim.run()
         if self.verify_values:
@@ -303,7 +312,7 @@ class ExperimentRunner:
             self.stats.jobs = max(self.stats.jobs, jobs)
         job = functools.partial(
             _workload_job, build=self.build,
-            verify_values=self.verify_values,
+            verify_values=self.verify_values, allocator=self.allocator,
             cache_root=(self.artifacts.root
                         if self.artifacts is not None else None),
             cache_version=(self.artifacts.version
@@ -333,25 +342,28 @@ class ExperimentRunner:
 def compaction_measurements(workloads: Optional[List[str]] = None,
                             machine: MachineConfig = PAPER_MACHINE_512,
                             jobs: int = 1,
-                            stats: Optional[SweepStats] = None):
-    """Table 1 data: per-routine spill bytes before/after compaction.
-    ``stats``, if given, collects the jobs' stage timings."""
+                            stats: Optional[SweepStats] = None,
+                            allocator: str = "chaitin"):
+    """Table 1 data: per-routine spill bytes before/after compaction
+    under the ``allocator`` backend.  ``stats``, if given, collects the
+    jobs' stage timings."""
     names = list(workloads) if workloads is not None else suite_names()
     results = []
+    job = functools.partial(_compaction_job, machine=machine,
+                            allocator=allocator)
     with JobPool(jobs) as pool:
-        for _, (result, payload) in pool.map(
-                functools.partial(_compaction_job, machine=machine), names):
+        for _, (result, payload) in pool.map(job, names):
             results.append(result)
             if stats is not None:
                 stats.merge_job(payload)
     return results
 
 
-def _compaction_job(name: str, machine: MachineConfig):
+def _compaction_job(name: str, machine: MachineConfig, allocator: str):
     clock = StageClock()
     with clock.stage("build"):
         prog = build_routine(name)
     with clock.stage("compile"):
-        compile_program(prog, machine, "baseline")
+        compile_program(prog, machine, "baseline", allocator)
         result = compact_spill_memory(prog.functions[name])
     return result, clock.to_payload()

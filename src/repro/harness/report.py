@@ -32,8 +32,10 @@ def _code_block(text: str) -> List[str]:
     return ["```", text, "```", ""]
 
 
-def generate_markdown(jobs: int = 1, artifacts=None) -> str:
-    runner = ExperimentRunner(jobs=jobs, artifacts=artifacts)
+def generate_markdown(jobs: int = 1, artifacts=None,
+                      allocator: str = "chaitin") -> str:
+    runner = ExperimentRunner(jobs=jobs, allocator=allocator,
+                              artifacts=artifacts)
     lines: List[str] = [
         "# EXPERIMENTS — paper vs. measured",
         "",
@@ -47,7 +49,7 @@ def generate_markdown(jobs: int = 1, artifacts=None) -> str:
     ]
 
     # -- Table 1 --------------------------------------------------------------
-    t1 = table1(jobs=jobs)
+    t1 = table1(jobs=jobs, allocator=allocator)
     lines += [
         "## Table 1 — spill memory requirements and compaction",
         "",
@@ -137,7 +139,8 @@ def generate_markdown(jobs: int = 1, artifacts=None) -> str:
     lines += _code_block(t4.format())
 
     # -- Figures --------------------------------------------------------------
-    prog_run = program_runner(jobs=jobs, artifacts=artifacts)
+    prog_run = program_runner(jobs=jobs, artifacts=artifacts,
+                              allocator=allocator)
     fig3 = figure(lambda: prog_run, 512)
     fig4 = figure(lambda: prog_run, 1024)
     lines += [
@@ -156,7 +159,8 @@ def generate_markdown(jobs: int = 1, artifacts=None) -> str:
     lines += _code_block(fig4.format())
 
     # -- Ablation --------------------------------------------------------------
-    ablation = run_ablation(jobs=jobs, artifacts=artifacts)
+    ablation = run_ablation(jobs=jobs, artifacts=artifacts,
+                            allocator=allocator)
     lines += [
         "## Section 4.3 — CCM vs. cache-hierarchy alternatives",
         "",
@@ -201,6 +205,7 @@ def generate_markdown(jobs: int = 1, artifacts=None) -> str:
     return "\n".join(lines)
 
 
-def main(jobs: int = 1, artifacts=None) -> int:
-    print(generate_markdown(jobs=jobs, artifacts=artifacts))
+def main(jobs: int = 1, artifacts=None, allocator: str = "chaitin") -> int:
+    print(generate_markdown(jobs=jobs, artifacts=artifacts,
+                            allocator=allocator))
     return 0

@@ -75,10 +75,12 @@ class Table1:
 
 
 def table1(workloads: Optional[List[str]] = None, jobs: int = 1,
-           stats: Optional[SweepStats] = None) -> Table1:
+           stats: Optional[SweepStats] = None,
+           allocator: str = "chaitin") -> Table1:
     rows = [Table1Row(c.fn_name, c.bytes_before, c.bytes_after)
             for c in compaction_measurements(workloads, jobs=jobs,
-                                             stats=stats)]
+                                             stats=stats,
+                                             allocator=allocator)]
     return Table1(rows)
 
 
@@ -359,12 +361,12 @@ def figure(runner_factory, ccm_bytes: int,
 
 
 def program_runner(jobs: int = 1, artifacts=None, trace: bool = False,
-                   recorder=None,
-                   stats: Optional[SweepStats] = None) -> ExperimentRunner:
+                   recorder=None, stats: Optional[SweepStats] = None,
+                   allocator: str = "chaitin") -> ExperimentRunner:
     """An ExperimentRunner over whole programs instead of routines;
     ``stats``, if given, is shared with the caller's report."""
     from ..workloads.programs import build_program
 
     return ExperimentRunner(build=build_program, jobs=jobs,
-                            artifacts=artifacts, trace=trace,
-                            recorder=recorder, stats=stats)
+                            allocator=allocator, artifacts=artifacts,
+                            trace=trace, recorder=recorder, stats=stats)

@@ -29,7 +29,8 @@ value, same :class:`RunStats` field for field — including
 ``block_counts``, cache statistics, poison semantics, and the exact
 kind and message of every trap.  ``tests/test_sim_engine_fuzz.py``
 enforces it over the differential-testing corpus; select the reference
-oracle with ``REPRO_SIM_ENGINE=interp`` (or ``--sim-engine interp``).
+oracle with ``Simulator(..., engine="interp")`` (or ``difftest
+--sim-engine interp``).
 
 Cycle accounting is lazy where the interpreter's is eager: plain
 closures do no accounting at all, because every non-memory instruction
@@ -856,12 +857,11 @@ class _Engine:
         return dfn
 
 
-def _prepare_engine(sim, machine) -> "_Engine":
+def _prepare_engine(sim) -> "_Engine":
     """An :class:`_Engine` sharing ``sim``'s persistent machine state,
     with the simulator's dict-backed physical file materialized as a
-    flat list (+ overflow).  ``machine`` is the decode-time machine —
-    normally ``sim.machine``, but the batch engine substitutes the
-    batch's canonical machine."""
+    flat list (+ overflow)."""
+    machine = sim.machine
     eng = _Engine()
     eng.program = sim.program
     eng.machine = machine
@@ -921,7 +921,7 @@ def run_predecode(sim, entry: Optional[str] = None,
         raise SimulationError(
             f"{entry} expects {len(fn.params)} args, got {len(args)}")
     machine = sim.machine
-    eng = _prepare_engine(sim, machine)
+    eng = _prepare_engine(sim)
 
     dfn = decode_function(fn, machine, eng.has_cache)
     eng.decoded[entry] = dfn

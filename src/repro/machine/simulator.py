@@ -22,7 +22,6 @@ Design notes:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -36,34 +35,14 @@ STACK_BASE = 0x8000_0000
 
 # -- engine selection ----------------------------------------------------------
 #
-# Three execution engines produce bit-identical results (the fuzz
-# equivalence suites enforce it): "predecode" compiles each function
+# Two execution engines produce bit-identical results (the fuzz
+# equivalence suite enforces it): "predecode" compiles each function
 # once into specialized closures (repro.machine.predecode) and is the
-# default; "batch" amortizes the predecode dispatch cost across many
-# machine configurations at once (repro.machine.batch; a lone Simulator
-# under it runs as a batch of one); "interp" is this module's reference
-# interpreter, retained as the oracle the fast engines are
-# differentially tested against — the same pattern as
-# REPRO_LIVENESS_ENGINE for the dataflow engines.
+# default; "interp" is this module's reference interpreter, retained as
+# the oracle the fast engine is differentially tested against — the
+# same pattern as the "bitset"/"sets" liveness engines.
 
-_VALID_SIM_ENGINES = ("predecode", "interp", "batch")
-
-_sim_engine = os.environ.get("REPRO_SIM_ENGINE", "predecode")
-
-
-def sim_engine() -> str:
-    """The current default simulator engine name."""
-    return _sim_engine
-
-
-def set_sim_engine(name: str) -> None:
-    """Select the engine new :class:`Simulator` instances use."""
-    global _sim_engine
-    if name not in _VALID_SIM_ENGINES:
-        raise ValueError(
-            f"unknown simulator engine {name!r}; "
-            f"expected one of {_VALID_SIM_ENGINES}")
-    _sim_engine = name
+_VALID_SIM_ENGINES = ("predecode", "interp")
 
 
 def fmt_addr(addr) -> str:
@@ -165,15 +144,13 @@ class Simulator:
     def __init__(self, program: Program, machine: MachineConfig = DEFAULT_MACHINE,
                  cache: Optional[DataCache] = None, fuel: int = 50_000_000,
                  poison_caller_saved: bool = False, profile: bool = False,
-                 engine: Optional[str] = None):
+                 engine: str = "predecode"):
         self.program = program
         self.machine = machine
         self.cache = cache
         self.fuel = fuel
         self.poison_caller_saved = poison_caller_saved
         self.profile = profile
-        if engine is None:
-            engine = _sim_engine
         if engine not in _VALID_SIM_ENGINES:
             raise ValueError(
                 f"unknown simulator engine {engine!r}; "
@@ -274,9 +251,6 @@ class Simulator:
         if self.engine == "predecode":
             from .predecode import run_predecode
             return run_predecode(self, entry, args)
-        if self.engine == "batch":
-            from .batch import run_batch_single
-            return run_batch_single(self, entry, args)
         return self._run_interp(entry, args)
 
     def _run_interp(self, entry: Optional[str] = None,

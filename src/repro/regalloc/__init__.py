@@ -1,10 +1,8 @@
 """Register allocation: Chaitin-Briggs and SSA backends with pluggable
 spill placement.
 
-:func:`allocate_function` dispatches on the process-wide engine
-(``REPRO_REGALLOC_ENGINE`` / :func:`set_regalloc_engine`) or an explicit
-``engine`` argument — the same two-backend pattern as the liveness and
-simulator engines.
+:func:`allocate_function` dispatches on its ``engine`` argument — the
+same two-backend pattern as the liveness and simulator engines.
 """
 
 from typing import Optional
@@ -17,7 +15,7 @@ from .chaitin_briggs import (AllocationError, AllocationResult,
                              ChaitinBriggsAllocator, SpillLocation,
                              StackSlotProvider)
 from .chaitin_briggs import allocate_function as allocate_function_chaitin
-from .engine import regalloc_engine, set_regalloc_engine, spill_mode_for
+from .engine import REGALLOC_ENGINES, spill_mode_for
 from .interference import (InterferenceGraph,
                            build_interference_graph, to_dot)
 from .spill_costs import INFINITE, compute_spill_costs
@@ -28,9 +26,8 @@ def allocate_function(fn: Function, machine: MachineConfig,
                       slot_provider=None, graph_hook=None,
                       rematerialize: bool = True,
                       manager: Optional[AnalysisManager] = None,
-                      engine: Optional[str] = None) -> AllocationResult:
+                      engine: str = "chaitin") -> AllocationResult:
     """Allocate registers for ``fn`` in place with the selected backend."""
-    engine = engine or regalloc_engine()
     if engine == "chaitin":
         return allocate_function_chaitin(fn, machine, slot_provider,
                                          graph_hook, rematerialize,
@@ -45,7 +42,7 @@ __all__ = [
     "AllocationResult", "ChaitinBriggsAllocator", "SpillLocation",
     "StackSlotProvider", "allocate_function", "allocate_function_chaitin",
     "allocate_function_ssa", "SsaAllocationResult", "SsaAllocator",
-    "regalloc_engine", "set_regalloc_engine", "spill_mode_for",
+    "REGALLOC_ENGINES", "spill_mode_for",
     "InterferenceGraph", "build_interference_graph", "to_dot", "INFINITE",
     "compute_spill_costs",
 ]

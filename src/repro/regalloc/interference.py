@@ -20,8 +20,7 @@ and appends pseudo nodes / clobbered physical registers as the walk
 discovers them, matching the node order the historical dict-of-sets
 representation produced (allocator tie-breaking, and therefore compiled
 artifacts, depend on that order).  The historical set-based builder is
-retained as the reference oracle and runs when the ``sets`` dataflow
-engine is selected (see :func:`repro.analysis.liveness.set_liveness_engine`).
+retained as the reference oracle and runs with ``engine="sets"``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..analysis import (CFG, AnalysisManager, DenseIndex, compute_liveness,
                         iter_bits)
-from ..analysis.liveness import liveness_engine
 from ..ir import Function, Instruction, PhysReg, RegClass, VirtualReg
 from ..machine import MachineConfig
 
@@ -198,8 +196,7 @@ class InterferenceGraph:
 def build_interference_graph(fn: Function, machine: MachineConfig,
                              extra_node_hook=None,
                              manager: Optional[AnalysisManager] = None,
-                             engine: Optional[str] = None
-                             ) -> InterferenceGraph:
+                             engine: str = "bitset") -> InterferenceGraph:
     """Construct the interference graph for ``fn``.
 
     ``extra_node_hook`` is an object with ``begin(fn, graph[, manager])``
@@ -209,11 +206,14 @@ def build_interference_graph(fn: Function, machine: MachineConfig,
     graph (paper section 3.2) without this module knowing about them.
 
     ``manager`` supplies cached CFG/liveness; without one they are
-    computed locally.  ``engine`` overrides the process-wide liveness
-    engine ("bitset" or "sets" — the reference oracle) for this build.
+    computed locally.  ``engine`` is "bitset" or "sets" (the reference
+    oracle).
     """
-    if (engine or liveness_engine()) == "sets":
+    if engine == "sets":
         return _build_sets(fn, machine, extra_node_hook, manager)
+    if engine != "bitset":
+        raise ValueError(f"unknown liveness engine {engine!r}; "
+                         f"expected 'bitset' or 'sets'")
     return _build_bitset(fn, machine, extra_node_hook, manager)
 
 
@@ -229,18 +229,10 @@ def _build_bitset(fn: Function, machine: MachineConfig, extra_node_hook,
     from ..analysis.bitset import MaskSetView
 
     if manager is not None:
-        liveness = manager.liveness()
-        bits = liveness.bits
+        bits = manager.liveness().bits
     else:
-        cfg = CFG(fn)
-        bits = None
-    if bits is None:
-        # engine is bitset but the cached liveness predates it, or no
-        # manager: compute mask facts directly
-        index = DenseIndex(fn)
         from ..analysis.bitset import compute_liveness_masks
-        bits = compute_liveness_masks(
-            fn, manager.cfg() if manager is not None else cfg, index)
+        bits = compute_liveness_masks(fn, CFG(fn), DenseIndex(fn))
     index = bits.index
     ids = index.ids
 
@@ -318,7 +310,7 @@ def _build_sets(fn: Function, machine: MachineConfig, extra_node_hook,
         liveness = manager.liveness()
     else:
         cfg = CFG(fn)
-        liveness = compute_liveness(fn, cfg)
+        liveness = compute_liveness(fn, cfg, engine="sets")
 
     for reg in fn.all_registers():
         graph.add_node(reg)

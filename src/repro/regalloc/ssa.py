@@ -48,8 +48,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis import (INFINITE_DISTANCE, AnalysisManager, DenseIndex,
-                        compute_liveness_masks, iter_bits,
+from ..analysis import (INFINITE_DISTANCE, AnalysisManager, iter_bits,
                         split_critical_edges, values_live_across_calls)
 from ..analysis.ssa import build_ssa
 from ..ir import (Function, Instruction, Opcode, PhysReg, RegClass,
@@ -228,16 +227,6 @@ class SsaAllocator:
     def _k(self, rclass: RegClass) -> int:
         return self.machine.n_regs(rclass)
 
-    def _bit_liveness(self):
-        """Mask-form liveness for the current program, engine-agnostic."""
-        bits = self.analysis.liveness().bits
-        if bits is None:
-            # sets engine selected: compute the masks locally (same
-            # fallback the interference builder uses)
-            index = DenseIndex(self.fn)
-            bits = compute_liveness_masks(self.fn, self.analysis.cfg(), index)
-        return bits
-
     # -- stage 1: spill in SSA form ------------------------------------------
 
     def _pressure_spills(self) -> List[VirtualReg]:
@@ -252,7 +241,7 @@ class SsaAllocator:
 
         Also records the scan's MAXLIVE per class on the result — on
         the final round that is the exact post-spill MAXLIVE."""
-        bits = self._bit_liveness()
+        bits = self.analysis.liveness().bits
         index = bits.index
         ids = index.ids
         regs = index.regs

@@ -2,7 +2,7 @@
 
 The bitset engine (``repro.analysis.bitset``) is the default liveness/
 interference backend; the set-based code remains as a reference oracle
-(``REPRO_LIVENESS_ENGINE=sets``).  These tests pin the primitives the
+(``engine="sets"``).  These tests pin the primitives the
 engine is built from and the manager's caching contract; the end-to-end
 bitset-vs-oracle equivalence lives in ``test_bitset_oracle_fuzz.py``.
 """
@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis import (CFG, AnalysisManager, DenseIndex,
                             compute_liveness, compute_liveness_masks,
-                            iter_bits, liveness_engine, set_liveness_engine)
+                            iter_bits)
 from repro.analysis.bitset import MaskSetView
 from repro.ir import RegClass, VirtualReg, parse_function
 from repro.trace import TraceRecorder, recording
@@ -120,21 +120,14 @@ class TestBitLivenessMasks:
 
 class TestEngineSelection:
     def test_default_is_bitset(self):
-        assert liveness_engine() in ("bitset", "sets")
-
-    def test_set_engine_roundtrip(self):
-        old = liveness_engine()
-        try:
-            set_liveness_engine("sets")
-            assert liveness_engine() == "sets"
-            set_liveness_engine("bitset")
-            assert liveness_engine() == "bitset"
-        finally:
-            set_liveness_engine(old)
+        # only the bitset engine attaches mask-form facts
+        assert compute_liveness(parse_function(DIAMOND)).bits is not None
+        assert compute_liveness(parse_function(DIAMOND),
+                                engine="sets").bits is None
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            set_liveness_engine("quantum")
+        with pytest.raises(ValueError, match="unknown liveness engine"):
+            compute_liveness(parse_function(DIAMOND), engine="quantum")
 
     def test_both_engines_agree_via_public_api(self):
         fn = parse_function(DIAMOND)

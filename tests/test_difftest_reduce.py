@@ -8,12 +8,15 @@ must then shrink a triggering program to a small, stable reproducer.
 
 import pytest
 
-from repro.difftest import (check_source, generate_source, iter_corpus,
-                            reduce_source, save_corpus_entry)
+from repro.difftest import (check_source, config_lattice, generate_source,
+                            iter_corpus, reduce_source, save_corpus_entry)
+from repro.difftest import cli
 from repro.difftest.faults import FAULTS, get_fault
-from repro.difftest.runner import DiffConfig, compile_config
+from repro.difftest.runner import (DiffConfig, Divergence, FuzzReport,
+                                   SeedResult, compile_config)
 from repro.frontend import compile_source
 from repro.ir import VerificationError, verify_program
+from repro.trace import TraceRecorder, recording
 
 BASE = DiffConfig("baseline", optimize=False, compaction=False, ccm_bytes=512)
 CCM = DiffConfig("postpass", optimize=False, compaction=False, ccm_bytes=512)
@@ -86,6 +89,76 @@ class TestReducer:
         source = "\n".join(f"line{i}" for i in range(32)) + "\nkeep me\n"
         result = reduce_source(source, lambda s: "keep me" in s)
         assert result == "keep me\n"
+
+
+class TestSweepEngines:
+    """``--seed`` and ``--reduce`` run on the sweep's simulator engine
+    and allocator lattice, so a divergence found on the interpreter is
+    reduced on the interpreter."""
+
+    CONFIGS = config_lattice((64,))
+
+    @staticmethod
+    def _decode_counters(fn):
+        recorder = TraceRecorder()
+        with recording(recorder):
+            fn()
+        return {name: value for name, value in recorder.counters.items()
+                if name.startswith("sim.decode.")}
+
+    def test_check_source_and_reducer_follow_sim_engine(self):
+        source = generate_source(3)
+        configs = self.CONFIGS
+        assert self._decode_counters(lambda: check_source(source, configs))
+        assert not self._decode_counters(
+            lambda: check_source(source, configs, sim_engine="interp"))
+        # seed 3 is clean: the reducer evaluates its predicate once and
+        # gives up, on whichever engine it was handed
+        for engine, decodes in (("interp", False), ("predecode", True)):
+            counters = self._decode_counters(
+                lambda: cli._reduce_divergence(3, configs, engine))
+            assert bool(counters) is decodes, engine
+
+    def _spy(self, monkeypatch, diverging: int):
+        """Replace the CLI's check_source: the first ``diverging`` calls
+        diverge, later ones (the reducer's predicate) do not.  Returns
+        the calls seen as (allocators, sim_engine)."""
+        calls = []
+
+        def check_source_spy(source, configs, **kwargs):
+            calls.append(({c.allocator for c in configs},
+                          kwargs.get("sim_engine")))
+            divergence = Divergence(7, configs[0].name, "value", "boom")
+            return SeedResult(7, len(configs),
+                              [divergence] if len(calls) <= diverging
+                              else [])
+
+        monkeypatch.setattr(cli, "check_source", check_source_spy)
+        return calls
+
+    def test_cli_seed_and_reduce_pass_the_flag(self, monkeypatch, capsys):
+        calls = self._spy(monkeypatch, diverging=1)
+        assert cli.main(["--seed", "7", "--reduce", "--no-cache",
+                         "--ccm", "64", "--allocators", "ssa",
+                         "--sim-engine", "interp"]) == 1
+        assert calls == [({"ssa"}, "interp")] * 2
+
+    def test_cli_sweep_reduce_passes_the_flag(self, monkeypatch, capsys):
+        calls = self._spy(monkeypatch, diverging=0)
+        sweeps = []
+
+        def run_fuzz_spy(seeds, configs, **kwargs):
+            sweeps.append(kwargs.get("sim_engine"))
+            return FuzzReport(seeds_run=1, divergences=[
+                Divergence(7, configs[0].name, "value", "boom")])
+
+        monkeypatch.setattr(cli, "run_fuzz", run_fuzz_spy)
+        assert cli.main(["--seeds", "1", "--start", "7", "--reduce",
+                         "--no-cache", "-j", "1", "--ccm", "64",
+                         "--allocators", "ssa",
+                         "--sim-engine", "interp"]) == 1
+        assert sweeps == ["interp"]
+        assert calls == [({"ssa"}, "interp")]
 
 
 class TestCorpusStore:

@@ -34,9 +34,7 @@ from repro.harness.tables import figure, program_runner
 from repro.ir import format_program
 from repro.ir.printer import format_function
 from repro.machine import (DataCache, MachineConfig, PAPER_MACHINE_512,
-                           PAPER_MACHINE_1024, Simulator, set_sim_engine,
-                           sim_engine)
-from repro.regalloc import regalloc_engine, set_regalloc_engine
+                           PAPER_MACHINE_1024, Simulator)
 from repro.workloads.programs import build_program
 from repro.workloads.suite import build_routine
 
@@ -102,13 +100,6 @@ def scratch_ablation():
     return [_scratch_ablation_cell(HEAVY, name) for name in CONFIGS]
 
 
-@pytest.fixture
-def sim_engine_named():
-    previous = sim_engine()
-    yield set_sim_engine
-    set_sim_engine(previous)
-
-
 # -- the harness -----------------------------------------------------------------
 
 
@@ -159,15 +150,12 @@ def test_table1_rows_equal_from_scratch(jobs):
     assert stats.stages["compile"].wall_s > 0
 
 
-@pytest.mark.parametrize("engine", ["predecode", "batch"])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_ablation_cells_equal_from_scratch(scratch_ablation,
-                                           sim_engine_named, engine, jobs):
-    sim_engine_named(engine)
+def test_ablation_cells_equal_from_scratch(scratch_ablation, jobs):
     stats = SweepStats()
     result = run_ablation([HEAVY, LIGHT], jobs=jobs, stats=stats)
     assert result.cells[:len(CONFIGS)] == scratch_ablation
-    # one payload per cell under either engine
+    # one payload per cell
     assert stats.jobs_total == 2 * len(CONFIGS)
     assert stats.stages["build"].calls == 2
 
@@ -182,26 +170,22 @@ def test_lowering_and_baseline_allocation_ignore_ccm_size(workload):
         prog = build_routine(workload)
         lower_stage(prog, machine)
         lowered = format_program(prog)
-        baseline_stage(prog, machine, regalloc_engine())
+        baseline_stage(prog, machine, "chaitin")
         texts.append((lowered, format_program(prog)))
     assert texts[0] == texts[1]
 
 
 def test_engine_switch_never_aliases():
-    """Snapshots are keyed by the resolved engine name, so switching the
-    process-wide engine between two requests recompiles."""
+    """Snapshots are keyed by the engine argument, so requesting another
+    engine from the same cache recompiles: every snapshot equals a fresh
+    allocation under its own engine."""
     base = compile_source(generate_source(3))
     cache = StageCache(base)
-    previous = regalloc_engine()
     seen = {}
-    try:
-        for engine in ("chaitin", "ssa", "chaitin"):
-            set_regalloc_engine(engine)
-            seen.setdefault(engine, []).append(
-                (format_program(cache.allocated(SMALL)),
-                 format_program(cache.integrated(SMALL))))
-    finally:
-        set_regalloc_engine(previous)
+    for engine in ("chaitin", "ssa", "chaitin"):
+        seen.setdefault(engine, []).append(
+            (format_program(cache.allocated(SMALL, engine=engine)),
+             format_program(cache.integrated(SMALL, engine=engine))))
     for engine, snapshots in seen.items():
         fresh = []
         for variant in ("baseline", "integrated"):

@@ -1,15 +1,14 @@
 """Unit tests for the SSA-based register allocator family.
 
-Covers the engine selector (env var / setter / explicit argument), the
-dispatcher in :func:`repro.regalloc.allocate_function`, behavioral
-equivalence of both SSA spill variants against Chaitin-Briggs on the
-canonical programs, out-of-SSA parallel-copy resolution (including swap
-cycles), the CCM slot-provider/graph-hook integration, and the
-``regalloc.ssa.*`` trace counters.
+Covers the ``engine`` argument of the dispatcher in
+:func:`repro.regalloc.allocate_function`, behavioral equivalence of both
+SSA spill variants against Chaitin-Briggs on the canonical programs,
+out-of-SSA parallel-copy resolution (including swap cycles), the CCM
+slot-provider/graph-hook integration, and the ``regalloc.ssa.*`` trace
+counters.
 """
 
 import copy
-import os
 
 import pytest
 
@@ -21,8 +20,7 @@ from repro.ir import (RegClass, check_no_virtual_registers, verify_program)
 from repro.machine import PAPER_MACHINE_512, Simulator
 from repro.regalloc import (SsaAllocationResult, SsaAllocator,
                             allocate_function, allocate_function_ssa,
-                            lower_calling_convention, regalloc_engine,
-                            set_regalloc_engine, spill_mode_for)
+                            lower_calling_convention, spill_mode_for)
 from repro.trace import TraceRecorder, install, recording
 
 ENGINES = ("chaitin", "ssa", "ssa-everywhere")
@@ -112,19 +110,16 @@ def _run_all_engines(source: str, machine):
 
 
 class TestEngineSelector:
-    def test_default_is_chaitin(self):
-        assert regalloc_engine() == "chaitin"
+    def test_default_is_chaitin(self, machine):
+        prog = build_loop_sum_program()
+        result = allocate_function(prog.functions["main"], machine)
+        assert not isinstance(result, SsaAllocationResult)
+        assert simulate(prog).value == 45
 
-    def test_setter_roundtrip(self):
-        set_regalloc_engine("ssa")
-        try:
-            assert regalloc_engine() == "ssa"
-        finally:
-            set_regalloc_engine("chaitin")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            set_regalloc_engine("linear-scan")
+    def test_unknown_engine_rejected(self, machine):
+        fn = build_loop_sum_program().functions["main"]
+        with pytest.raises(ValueError, match="unknown regalloc engine"):
+            allocate_function(fn, machine, engine="linear-scan")
 
     def test_spill_mode_mapping(self):
         assert spill_mode_for("ssa") == "split"
@@ -138,11 +133,7 @@ class TestEngineSelector:
     def test_process_engine_drives_dispatcher(self, machine):
         prog = build_loop_sum_program()
         fn = prog.functions["main"]
-        set_regalloc_engine("ssa")
-        try:
-            result = allocate_function(fn, machine)
-        finally:
-            set_regalloc_engine("chaitin")
+        result = allocate_function(fn, machine, engine="ssa")
         assert isinstance(result, SsaAllocationResult)
         assert simulate(prog).value == 45
 
@@ -390,35 +381,3 @@ class TestSharedManager:
         liveness = manager.liveness()
         assert liveness is manager.liveness()
         assert simulate(prog, tiny_machine).value == 45
-
-
-class TestEnvEngine:
-    def test_env_var_selects_engine_in_fresh_process(self):
-        import subprocess
-        import sys
-
-        snippet = (
-            "from repro.regalloc import regalloc_engine;"
-            "print(regalloc_engine())")
-        env = dict(os.environ, REPRO_REGALLOC_ENGINE="ssa-everywhere")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in [os.path.join(os.path.dirname(__file__), "..", "src"),
-                        env.get("PYTHONPATH", "")] if p)
-        out = subprocess.run([sys.executable, "-c", snippet], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "ssa-everywhere"
-
-    def test_invalid_env_var_falls_back_to_chaitin(self):
-        import subprocess
-        import sys
-
-        snippet = (
-            "from repro.regalloc import regalloc_engine;"
-            "print(regalloc_engine())")
-        env = dict(os.environ, REPRO_REGALLOC_ENGINE="typo")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in [os.path.join(os.path.dirname(__file__), "..", "src"),
-                        env.get("PYTHONPATH", "")] if p)
-        out = subprocess.run([sys.executable, "-c", snippet], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "chaitin"

@@ -143,9 +143,6 @@ def test_oracle_equivalence_over_fuzz_corpus():
 
 
 _RESULT_SNIPPET = r"""
-from repro.regalloc import set_regalloc_engine
-set_regalloc_engine("ssa")
-
 import hashlib
 
 from repro.difftest.gen import generate_source
@@ -156,7 +153,7 @@ from repro.machine import SimulationError, Simulator
 
 digest = hashlib.sha256()
 config = DiffConfig("integrated", optimize=True, compaction=True,
-                    ccm_bytes=512)
+                    ccm_bytes=512, allocator="ssa")
 for seed in range(8):
     program, machine = compile_config(
         compile_source(generate_source(seed)), config)
@@ -176,8 +173,7 @@ print(digest.hexdigest())
 
 
 def _result_digest(hashseed: str) -> str:
-    env = dict(os.environ, PYTHONHASHSEED=hashseed,
-               REPRO_REGALLOC_ENGINE="ssa")
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [os.path.join(os.path.dirname(__file__), "..", "src"),
                     env.get("PYTHONPATH", "")] if p)

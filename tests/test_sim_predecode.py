@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.difftest import config_lattice
+from repro.difftest.runner import _lattice_descriptor
 from repro.exec import ArtifactCache
 from repro.ir import PhysReg, RegClass, parse_program
 from repro.machine import (CacheConfig, DataCache, MachineConfig, OutOfFuel,
-                           SimulationError, Simulator, set_sim_engine,
-                           sim_engine)
+                           SimulationError, Simulator)
 from repro.machine import predecode
 from repro.machine.predecode import decode_function
 from repro.trace import TraceRecorder, recording
@@ -556,34 +557,19 @@ entry:
 
 class TestEngineSelection:
     def test_default_engine_matches_module_default(self):
-        assert Simulator(parse_program(TRIVIAL)).engine == sim_engine()
-
-    def test_set_sim_engine_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown simulator engine"):
-            set_sim_engine("bogus")
+        assert Simulator(parse_program(TRIVIAL)).engine == "predecode"
 
     def test_constructor_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown simulator engine"):
-            Simulator(parse_program(TRIVIAL), engine="bogus")
-
-    def test_set_sim_engine_changes_default(self):
-        previous = sim_engine()
-        try:
-            set_sim_engine("interp")
-            assert Simulator(parse_program(TRIVIAL)).engine == "interp"
-        finally:
-            set_sim_engine(previous)
+        for engine in ("bogus", "batch"):
+            with pytest.raises(ValueError, match="unknown simulator engine"):
+                Simulator(parse_program(TRIVIAL), engine=engine)
 
     def test_artifact_cache_keyed_by_engine(self, tmp_path):
+        # a difftest sweep on the oracle names it in every seed's key
         cache = ArtifactCache(str(tmp_path))
-        previous = sim_engine()
-        try:
-            set_sim_engine("predecode")
-            default_key = cache.key("src", "cfg")
-            set_sim_engine("interp")
-            assert cache.key("src", "cfg") != default_key
-        finally:
-            set_sim_engine(previous)
+        lattice = config_lattice((64,))
+        assert cache.key("src", _lattice_descriptor(lattice, "interp")) != \
+            cache.key("src", _lattice_descriptor(lattice, "predecode"))
 
 
 class TestDecodedFunctionShape:
