@@ -32,10 +32,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec import ArtifactCache, JobPool, StageClock, SweepStats
 from ..exec.compare import values_match as _values_match
-from ..exec.stages import StageCache
+from ..exec.stages import Run, StageCache, simulate
 from ..frontend import compile_source
 from ..ir import Program, verify_program
-from ..machine import MachineConfig, RunStats, SimulationError, Simulator
+from ..machine import MachineConfig, RunStats, SimulationError
 from ..trace import TraceRecorder, recording
 from .gen import generate_source
 
@@ -220,19 +220,16 @@ def compile_config(program: Program, config: DiffConfig
 # -- execution -----------------------------------------------------------------
 
 
+def _outcome(run: Run) -> Outcome:
+    if run.trap is not None:
+        return Outcome("trap", trap=str(run.trap), globals=run.globals)
+    return Outcome("value", value=run.result.value, globals=run.globals,
+                   stats=run.result.stats)
+
+
 def _execute(program: Program, machine: MachineConfig, poison: bool,
              sim_engine: str = "predecode") -> Outcome:
-    sim = Simulator(program, machine, fuel=FUEL,
-                    poison_caller_saved=poison, engine=sim_engine)
-    try:
-        run = sim.run()
-    except SimulationError as exc:
-        if exc.kind == "trap":
-            return Outcome("trap", trap=str(exc),
-                           globals=sim.globals_snapshot())
-        raise
-    return Outcome("value", value=run.value, globals=sim.globals_snapshot(),
-                   stats=run.stats)
+    return _outcome(simulate(program, machine, FUEL, poison, sim_engine))
 
 
 def execute_reference(source: str) -> Tuple[Optional[Outcome], Optional[str]]:
@@ -311,8 +308,12 @@ def check_source(source: str, configs: Optional[Sequence[DiffConfig]] = None,
     ``sim_engine`` runs the reference and every config on that
     simulator engine (``"interp"`` is the reference interpreter).
 
-    ``fault``, if given, is applied to each compiled program before
-    execution — used to validate that the oracle detects known
+    Configs that compile to the same bytes share one verification and,
+    on the same machine, one simulation (see
+    :class:`~repro.exec.stages.StageCache`).
+
+    ``fault``, if given, is applied to a copy of each compiled program
+    before execution — used to validate that the oracle detects known
     miscompiles (see :mod:`repro.difftest.faults`).
 
     ``artifacts``, if given, is consulted before doing any work and
@@ -400,11 +401,14 @@ def _check_one(stages: StageCache, config: DiffConfig, reference: Outcome,
         return Divergence(None, config.name, "compile_error",
                           f"{type(exc).__name__}: {exc}")
     if fault is not None:
+        # the fault changes the bytes, so it runs on a copy: a program
+        # the stage cache did not compile shares no run
+        program = program.clone()
         fault(program)
     try:
         with _timed(clock, "execute"):
-            outcome = _execute(program, machine, poison=True,
-                               sim_engine=sim_engine)
+            outcome = _outcome(stages.run(program, machine, FUEL,
+                                          poison=True, engine=sim_engine))
     except SimulationError as exc:
         return Divergence(None, config.name, "trap",
                           f"machine error in compiled code: {exc} "

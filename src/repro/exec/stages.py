@@ -18,9 +18,16 @@ on:
   an allocation made at one size is exact for the whole interval of
   sizes its accept tests did not tell apart, so each function keeps its
   allocations with their intervals and any size inside one reuses it;
-* the cell's own passes (post-pass promotion, compaction) and the
-  verifier, which run on a :meth:`Program.clone` of the shared
-  snapshot so the snapshot stays pristine.
+* the cell's own passes (post-pass promotion, compaction), which run
+  on a :meth:`Program.clone` of the shared snapshot so the snapshot
+  stays pristine;
+* verification and simulation of the finished program — its exact
+  structural key (:func:`~repro.ir.program_key`), the CCM size and, for
+  a run, the machine's other fields and the simulator's arguments.
+  Many cells finish as the same bytes, so the cache verifies each
+  distinct program once and runs each distinct (program, machine) pair
+  once, under the two rules :meth:`StageCache.compile` and
+  :meth:`StageCache.run` state.
 
 Snapshots are keyed by the machine with ``ccm_bytes`` zeroed, the
 optimize flag, rematerialization and the allocator engine name, so two
@@ -31,15 +38,19 @@ program, so the variant-to-passes mapping lives only here.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..ccm import (allocate_function_integrated, compact_spill_memory,
                    promote_spills_postpass)
-from ..ir import Function, Program, verify_program
-from ..machine import MachineConfig
+from ..ir import Function, Program, program_key, verify_program
+from ..machine import (MachineConfig, RunResult, SimulationError,
+                       Simulator)
+from ..machine.simulator import DEFAULT_FUEL
 from ..opt import optimize_program
 from ..regalloc import allocate_function, lower_calling_convention
+from ..trace import trace_counter, trace_span
 
 VARIANTS = ("baseline", "postpass", "postpass_cg", "integrated")
 
@@ -109,6 +120,33 @@ def compile_program(prog: Program, machine: MachineConfig, variant: str,
     verify_program(prog, machine.ccm_bytes)
 
 
+class Run(NamedTuple):
+    """One simulation of a finished program."""
+
+    #: the completed run, or None when the program trapped
+    result: Optional[RunResult]
+    #: the program trap (``kind == "trap"``) the run raised, if any
+    trap: Optional[SimulationError]
+    #: final contents of every global array
+    globals: Dict[str, tuple]
+
+
+def simulate(prog: Program, machine: MachineConfig, fuel: int = DEFAULT_FUEL,
+             poison: bool = False, engine: str = "predecode") -> Run:
+    """Run ``prog`` on a fresh :class:`Simulator`.  A program trap is
+    part of the program's behavior and comes back in the :class:`Run`;
+    machine errors (including fuel exhaustion) raise."""
+    sim = Simulator(prog, machine, fuel=fuel, poison_caller_saved=poison,
+                    engine=engine)
+    try:
+        result = sim.run()
+    except SimulationError as exc:
+        if exc.kind != "trap":
+            raise
+        return Run(None, exc, sim.globals_snapshot())
+    return Run(result, None, sim.globals_snapshot())
+
+
 # -- the cache -----------------------------------------------------------------
 
 
@@ -133,7 +171,10 @@ class StageCache:
 
     ``program`` is the frontend output; it is never mutated.  The
     snapshot accessors return shared programs that callers must not
-    mutate either; :meth:`compile` hands out a finished clone.
+    mutate either; :meth:`compile` hands out a finished clone, which
+    :meth:`run` recognizes by the key :meth:`compile` recorded for it —
+    so a caller that changes a compiled program runs a changed *copy*.
+    Everything lives and dies with the cache (one program's cells).
     """
 
     def __init__(self, program: Program):
@@ -142,6 +183,13 @@ class StageCache:
         self._allocated: Dict[tuple, Program] = {}
         #: allocation key -> function name -> [(exact sizes, function)]
         self._integrated: Dict[tuple, Dict[str, list]] = {}
+        #: keys of finished programs that passed the verifier
+        self._verified: set = set()
+        #: finished program -> its key, for :meth:`run`
+        self._keys: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        #: (key, machine with ccm_bytes zeroed, fuel, poison, engine)
+        #: -> the last completed run
+        self._runs: Dict[tuple, Run] = {}
 
     def lowered(self, machine: MachineConfig,
                 optimize: bool = True) -> Program:
@@ -191,7 +239,15 @@ class StageCache:
                 optimize: bool = True, engine: str = "chaitin",
                 rematerialize: bool = True,
                 compaction: bool = False) -> Program:
-        """The finished, verified program of one cell (a fresh clone)."""
+        """The finished, verified program of one cell (a fresh clone).
+
+        The verifier runs once per distinct program: a program whose key
+        already passed is accepted without it when its CCM end (the
+        largest ``imm + size`` of a CCM operation) fits this cell's CCM.
+        The bound on CCM slots is the verifier's only check that depends
+        on the cell, and equal keys are equal bytes, so the verdict is
+        the one a fresh verification would give.  Every other program
+        is verified exactly as before and raises the same error."""
         _check_variant(variant)
         if variant == "integrated":
             snapshot = self.integrated(machine, optimize, engine,
@@ -201,5 +257,39 @@ class StageCache:
                                       rematerialize)
         prog = snapshot.clone()
         finish_stage(prog, machine, variant, compaction)
-        verify_program(prog, machine.ccm_bytes)
+        with trace_span("stages.program_key"):
+            key, ccm_end = program_key(prog)
+        if key in self._verified and ccm_end <= machine.ccm_bytes:
+            trace_counter("stages.verify.shared")
+        else:
+            verify_program(prog, machine.ccm_bytes)
+            self._verified.add(key)
+        self._keys[prog] = key
         return prog
+
+    def run(self, prog: Program, machine: MachineConfig,
+            fuel: int = DEFAULT_FUEL, poison: bool = False,
+            engine: str = "predecode") -> Run:
+        """:func:`simulate` a program :meth:`compile` returned, sharing
+        one run among cells that finished as the same bytes.
+
+        A recorded run is reused only when the key, the machine with
+        ``ccm_bytes`` zeroed and the simulator arguments are all equal,
+        the run completed, and every CCM byte it touched lies below
+        this cell's ``ccm_bytes``: the CCM size then changes nothing the
+        run did, not even the bounds trap.  Traps, machine errors and
+        fuel exhaustion are never recorded, and a program this cache did
+        not compile (or a changed copy of one) always runs afresh."""
+        key = self._keys.get(prog)
+        if key is None:
+            return simulate(prog, machine, fuel, poison, engine)
+        memo = (key, replace(machine, ccm_bytes=0), fuel, poison, engine)
+        run = self._runs.get(memo)
+        if run is not None and \
+                run.result.stats.max_ccm_offset < machine.ccm_bytes:
+            trace_counter("stages.run.shared")
+            return run
+        run = simulate(prog, machine, fuel, poison, engine)
+        if run.result is not None:
+            self._runs[memo] = run
+        return run

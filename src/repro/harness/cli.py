@@ -34,7 +34,8 @@ from ..regalloc import REGALLOC_ENGINES
 from ..trace import TraceRecorder, format_summary, write_chrome_trace
 from .ablation import run_ablation
 from .experiment import ExperimentRunner
-from .tables import (figure, program_runner, table1, table2, table3, table4)
+from .tables import (figure, prefetch, program_runner, table1, table2,
+                     table3, table4)
 
 
 def _routine_list(arg: Optional[str]) -> Optional[List[str]]:
@@ -114,6 +115,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     targets = ([args.target] if args.target != "all" else
                ["table1", "table2", "table3", "table4", "fig3", "fig4",
                 "ablation"])
+    if args.target == "all":
+        # Tables 2-4 in one request: each routine is built, optimized
+        # and baseline-allocated once for both CCM sizes
+        prefetch(runner, workloads, (args.ccm, 512, 1024))
     for target in targets:
         if target == "table1":
             print(table1(workloads, jobs=jobs, stats=runner.stats,

@@ -15,7 +15,9 @@ every table and figure slices the same underlying runs.  Uncached cells
 are computed one job per workload: the job compiles all of that
 workload's requested cells through one
 :class:`~repro.exec.stages.StageCache`, so the frontend, optimizer and
-baseline allocator run once for the lot.  Under the in-memory memo sit
+baseline allocator run once for the lot, and cells that finish as the
+same program (e.g. the baseline at both CCM sizes) share one
+verification and one simulation.  Under the in-memory memo sit
 the two layers of :mod:`repro.exec`: ``jobs > 1`` fans the workload
 jobs out over worker processes, and an
 :class:`~repro.exec.ArtifactCache` persists finished cells across CLI
@@ -164,8 +166,10 @@ def _workload_job_inner(item, build, verify_values, allocator, cache_root,
         with clock.stage("compile"):
             compiled = stages.compile(machine, variant, engine=allocator)
         with clock.stage("simulate"):
-            run = Simulator(compiled, machine,
-                            poison_caller_saved=True).run()
+            simulated = stages.run(compiled, machine, poison=True)
+        if simulated.trap is not None:
+            raise simulated.trap
+        run = simulated.result
         if verify_values and not values_match(run.value, reference):
             raise AssertionError(
                 f"{workload}/{variant}: value {run.value!r} diverged "

@@ -153,18 +153,19 @@ def _cells(ccm_sizes) -> List[Tuple[str, int]]:
             for variant in ("baseline",) + ALGORITHMS]
 
 
-def _prefetch(runner: ExperimentRunner, workloads: Optional[List[str]],
+def prefetch(runner: ExperimentRunner, workloads: Optional[List[str]],
               ccm_sizes) -> None:
     """Warm the runner's memo for every (variant, CCM size) cell in one
     request, so each workload's cells share one job and one stage
-    cache, and a parallel runner fans the workloads out."""
+    cache, and a parallel runner fans the workloads out.  A request
+    whose cells are all memoized already does no work."""
     runner.run_cells(_cells(ccm_sizes), workloads)
 
 
 def table2(runner: ExperimentRunner, ccm_bytes: int = 512,
            workloads: Optional[List[str]] = None) -> Table2:
     rows = []
-    _prefetch(runner, workloads, (ccm_bytes,))
+    prefetch(runner, workloads, (ccm_bytes,))
     for name in (workloads or suite_names()):
         base = runner.run(name, "baseline", ccm_bytes)
         ratios = {}
@@ -218,7 +219,7 @@ def table3(runner: ExperimentRunner,
            workloads: Optional[List[str]] = None,
            threshold: float = 0.005) -> Table3:
     rows = []
-    _prefetch(runner, workloads, (512, 1024))
+    prefetch(runner, workloads, (512, 1024))
     for name in (workloads or suite_names()):
         base512 = runner.run(name, "baseline", 512)
         base1024 = runner.run(name, "baseline", 1024)
@@ -269,7 +270,7 @@ def table4(runner: ExperimentRunner,
            workloads: Optional[List[str]] = None) -> Table4:
     workloads = workloads or suite_names()
     cells = {}
-    _prefetch(runner, workloads, (512, 1024))
+    prefetch(runner, workloads, (512, 1024))
     for ccm_bytes in (512, 1024):
         base_total = base_mem = 0
         totals = {a: [0, 0] for a in ALGORITHMS}

@@ -10,6 +10,7 @@ from .builder import IRBuilder
 from .function import BasicBlock, Function, GlobalArray, Program
 from .instructions import (Instruction, make_ccm_load, make_ccm_store,
                            make_move, make_reload, make_spill)
+from .key import function_key, program_key
 from .opcodes import (CCM_LOADS, CCM_OPS, CCM_STORES, FROM_CCM, MOVES,
                       Opcode, OpcodeInfo, SPILL_LOADS, SPILL_OPS,
                       SPILL_STORES, TO_CCM, info)
@@ -22,7 +23,7 @@ from .verify import (VerificationError, check_no_virtual_registers,
 __all__ = [
     "IRBuilder", "BasicBlock", "Function", "GlobalArray", "Program",
     "Instruction", "make_ccm_load", "make_ccm_store", "make_move",
-    "make_reload", "make_spill",
+    "make_reload", "make_spill", "function_key", "program_key",
     "CCM_LOADS", "CCM_OPS", "CCM_STORES", "FROM_CCM", "MOVES", "Opcode",
     "OpcodeInfo", "SPILL_LOADS", "SPILL_OPS", "SPILL_STORES", "TO_CCM",
     "info", "Label", "PhysReg", "RegClass", "VirtualReg", "reg_class",

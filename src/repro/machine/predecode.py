@@ -16,13 +16,12 @@ move the paper applies to spill traffic:
 * branch targets resolve to direct :class:`_DBlock` references, so the
   hot loop never touches a label;
 * the decoded form is cached per :class:`~repro.ir.Function` (a
-  :class:`weakref.WeakKeyDictionary`, validated by a content
-  fingerprint because passes like the profile-guided CCM promoter
-  mutate instructions *in place* between simulations) and shared
-  *across* structurally-identical functions through a content-keyed
-  weak-value map — in a difftest lattice most configs compile to
-  identical code, so only ~40% of artifact instructions ever reach the
-  closure compiler.
+  :class:`weakref.WeakKeyDictionary`, validated by the function's exact
+  content key, :func:`~repro.ir.function_key`, because passes like the
+  profile-guided CCM promoter mutate instructions *in place* between
+  simulations) and shared *across* live functions with equal content
+  keys through a weak-value map.  A decoded form holds no reference back
+  to its function, so both maps empty once the functions are freed.
 
 Bit-identity with the interpreter is a hard contract: same return
 value, same :class:`RunStats` field for field — including
@@ -49,7 +48,7 @@ from __future__ import annotations
 import weakref
 from typing import Dict, List, Optional, Tuple
 
-from ..ir import Opcode, PhysReg, RegClass, VirtualReg
+from ..ir import Opcode, PhysReg, RegClass, VirtualReg, function_key
 from ..trace import current as _trace_current
 from .simulator import (POISON, STACK_BASE, OutOfFuel, RunResult, RunStats,
                         SimulationError, _FLOAT_BINOPS, _INT_BINOPS,
@@ -133,12 +132,11 @@ class _DFrame:
 
 
 class DecodedFunction:
-    __slots__ = ("fn", "name", "frame_size", "n_slots", "n_params",
+    __slots__ = ("name", "frame_size", "n_slots", "n_params",
                  "param_descs", "entry", "blocks", "__weakref__")
 
-    def __init__(self, fn, name, frame_size, n_slots, param_descs,
-                 entry, blocks):
-        self.fn = fn
+    def __init__(self, name, frame_size, n_slots, param_descs, entry,
+                 blocks):
         self.name = name
         self.frame_size = frame_size
         self.n_slots = n_slots
@@ -196,8 +194,7 @@ def _caller_saved_slots(machine) -> Tuple:
 
 
 class _Decoder:
-    def __init__(self, fn, machine, has_cache: bool):
-        self.fn = fn
+    def __init__(self, machine, has_cache: bool):
         self.machine = machine
         self.has_cache = has_cache
         self.n_vslots = 0
@@ -709,77 +706,38 @@ def _make_felloff(fn_name: str, label: str):
 
 # -- the decode cache ------------------------------------------------------------
 
-#: Function -> (fingerprint, {(machine, has_cache): DecodedFunction})
+#: Function -> (content key, {(machine, has_cache): DecodedFunction}).
+#: The content key validates the entry: object identity is not enough,
+#: because the profile-guided CCM promoter and the peephole passes
+#: rewrite instructions *in place* between simulations of one Function.
 _DECODE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-#: (fingerprint, name, n_instrs, machine, has_cache) -> DecodedFunction.
-#: Decoded closures carry no program-specific state outside ``eng``
-#: (symbols resolve at run time, constants are baked from instruction
-#: *content*), so structurally-identical functions — pervasive across a
-#: difftest lattice, where many configs compile to the same code — can
-#: share one decoded form.  Weak values: an entry lives only while some
-#: per-Function cache entry still holds the DecodedFunction.
+#: (content key, machine, has_cache) -> DecodedFunction.  Decoded
+#: closures carry no program-specific state outside ``eng`` (symbols
+#: resolve at run time, constants are baked from instruction *content*),
+#: so functions with equal content keys share one decoded form.  Weak
+#: values: an entry lives only while some per-Function cache entry
+#: still holds the DecodedFunction.
 _DECODE_BY_CONTENT: "weakref.WeakValueDictionary" = \
     weakref.WeakValueDictionary()
-
-
-#: Opcode -> small int, so fingerprinting hashes ints instead of going
-#: through the (surprisingly slow) enum ``__hash__`` per instruction.
-#: In-process only, so the mapping need not be stable across runs.
-_OP_IDS = {op: n for n, op in enumerate(Opcode)}
-
-
-def _fingerprint(fn) -> int:
-    """Content hash of everything the decoder bakes into closures.
-
-    Object identity is not enough: the profile-guided CCM promoter and
-    the peephole passes rewrite instructions *in place* (opcode, imm,
-    operands) between simulations of the same :class:`Function`.
-
-    Each instruction part carries a virtual-operand bitmask next to the
-    operand tuples: ``VirtualReg`` and ``PhysReg`` of the same index
-    intentionally share a hash value (allocator tie-breaking pins it),
-    and rewriting one into the other is exactly what register
-    allocation does — the fingerprint must see that as a different
-    function.
-    """
-    op_ids = _OP_IDS
-    vreg = VirtualReg
-    pmask = 0
-    for p in fn.params:
-        pmask = (pmask << 1) | (1 if type(p) is vreg else 0)
-    parts: List = [fn.name, fn.frame_size, tuple(fn.params), pmask]
-    for block in fn.blocks:
-        parts.append(block.label)
-        for i in block.instructions:
-            mask = 0
-            for r in i.dsts:
-                mask = (mask << 1) | (1 if type(r) is vreg else 0)
-            for r in i.srcs:
-                mask = (mask << 1) | (1 if type(r) is vreg else 0)
-            parts.append((op_ids[i.opcode], mask, tuple(i.dsts),
-                          tuple(i.srcs), i.imm, tuple(i.labels), i.symbol))
-    return hash(tuple(parts))
 
 
 def decode_function(fn, machine, has_cache: bool) -> DecodedFunction:
     """The decoded form of ``fn``, from cache when still valid."""
     key = (machine, has_cache)
-    fp = _fingerprint(fn)
+    content = function_key(fn)[0]
     entry = _DECODE_CACHE.get(fn)
     recorder = _trace_current()
-    if entry is not None and entry[0] == fp:
+    if entry is not None and entry[0] == content:
         dfn = entry[1].get(key)
         if dfn is not None:
             if recorder is not None:
                 recorder.counter("sim.decode.reused")
             return dfn
     else:
-        entry = (fp, {})
+        entry = (content, {})
         _DECODE_CACHE[fn] = entry
-    # name and size ride along as cheap extra discriminators on top of
-    # the content hash
-    ckey = (fp, fn.name, fn.instruction_count(), machine, has_cache)
+    ckey = (content, machine, has_cache)
     dfn = _DECODE_BY_CONTENT.get(ckey)
     if dfn is not None:
         if recorder is not None:
@@ -799,7 +757,7 @@ def decode_function(fn, machine, has_cache: bool) -> DecodedFunction:
 
 
 def _decode(fn, machine, has_cache: bool) -> DecodedFunction:
-    dec = _Decoder(fn, machine, has_cache)
+    dec = _Decoder(machine, has_cache)
     # number the parameters first so the slot layout is stable
     param_descs = tuple(dec.desc(p) for p in fn.params)
     blocks = {b.label: _DBlock(fn.name, b.label) for b in fn.blocks}
@@ -815,7 +773,7 @@ def _decode(fn, machine, has_cache: bool) -> DecodedFunction:
         sentinel = _make_felloff(fn.name, b.label)
         steps.append((sentinel, (), (), None, False) if pipelined
                      else sentinel)
-    return DecodedFunction(fn, fn.name, fn.frame_size, dec.n_vslots,
+    return DecodedFunction(fn.name, fn.frame_size, dec.n_vslots,
                            param_descs, blocks[fn.entry.label], blocks)
 
 

@@ -33,6 +33,9 @@ from .target import DEFAULT_MACHINE, MachineConfig
 GLOBAL_BASE = 0x1000
 STACK_BASE = 0x8000_0000
 
+#: instruction budget of a run unless the caller sets one
+DEFAULT_FUEL = 50_000_000
+
 # -- engine selection ----------------------------------------------------------
 #
 # Two execution engines produce bit-identical results (the fuzz
@@ -142,7 +145,7 @@ class Simulator:
     """Executes a :class:`Program` and collects :class:`RunStats`."""
 
     def __init__(self, program: Program, machine: MachineConfig = DEFAULT_MACHINE,
-                 cache: Optional[DataCache] = None, fuel: int = 50_000_000,
+                 cache: Optional[DataCache] = None, fuel: int = DEFAULT_FUEL,
                  poison_caller_saved: bool = False, profile: bool = False,
                  engine: str = "predecode"):
         self.program = program

@@ -10,8 +10,13 @@ compiled per cell from scratch with :func:`compile_program`, at
 ``-j 1`` and ``-j 2``; that lowering and baseline allocation ignore the
 CCM size; and that interval reuse equals a fresh allocation on shuffled
 grids of CCM sizes under every allocator engine, with and without
-rematerialization.  The reuse grid runs a few seeds in tier 1; the
-200-seed sweep carries the ``fuzz`` marker (run with ``-m fuzz``).
+rematerialization.  Cells that finish as the same bytes share one
+verification and one simulation: every lattice outcome and harness row
+must equal a from-scratch cell, a program must still fail verification
+below its CCM end, a run must not be reused at or below the CCM offset
+it touched, and every injected fault must still be caught.  The reuse
+grid and the lattice comparison run a few seeds in tier 1; their
+200-seed sweeps carry the ``fuzz`` marker (run with ``-m fuzz``).
 """
 
 import random
@@ -20,8 +25,11 @@ from dataclasses import replace
 import pytest
 
 from repro.ccm import allocate_function_integrated, compact_spill_memory
+from repro.difftest import check_source, config_lattice
+from repro.difftest import runner as difftest_runner
+from repro.difftest.faults import FAULTS, get_fault
 from repro.difftest.gen import generate_source
-from repro.difftest.runner import GEOMETRIES
+from repro.difftest.runner import GEOMETRIES, DiffConfig, compile_config
 from repro.exec import SweepStats, values_match
 from repro.exec import stages
 from repro.exec.stages import (VARIANTS, StageCache, baseline_stage,
@@ -31,10 +39,11 @@ from repro.harness import ExperimentRunner, run_ablation, table1
 from repro.harness.ablation import CONFIGS, AblationCell
 from repro.harness.experiment import VariantResult
 from repro.harness.tables import figure, program_runner
-from repro.ir import format_program
+from repro.ir import VerificationError, format_program, program_key
 from repro.ir.printer import format_function
 from repro.machine import (DataCache, MachineConfig, PAPER_MACHINE_512,
-                           PAPER_MACHINE_1024, Simulator)
+                           PAPER_MACHINE_1024, SimulationError, Simulator)
+from repro.trace import TraceRecorder, recording
 from repro.workloads.programs import build_program
 from repro.workloads.suite import build_routine
 
@@ -268,3 +277,200 @@ def test_integrated_reuse_equals_fresh_allocation(seed):
 @pytest.mark.parametrize("seed", range(200))
 def test_integrated_reuse_sweep(seed):
     _check_reuse(seed, n_sizes=2)
+
+
+# -- verify once, run once -----------------------------------------------------
+
+
+def _fields(outcome):
+    """Everything a difftest outcome observes, NaN-safe."""
+    return (outcome.kind, repr(outcome.value), outcome.trap,
+            repr(outcome.globals), outcome.stats)
+
+
+def _check_sharing(seed, monkeypatch):
+    """Run ``check_source`` on one seed's lattice, recording the outcome
+    of every config, and compare each with a from-scratch cell: a fresh
+    StageCache per config, a fresh simulation, the same judgement.
+    Returns the sweep's trace counters."""
+    source = generate_source(seed)
+    try:
+        base = compile_source(source)
+    except Exception:
+        pytest.skip(f"seed {seed} does not compile")
+    configs = config_lattice()
+    seen = {}
+    judge = difftest_runner._judge
+
+    def recording_judge(config, outcome, *args, **kwargs):
+        seen[config] = outcome
+        return judge(config, outcome, *args, **kwargs)
+
+    recorder = TraceRecorder()
+    with monkeypatch.context() as patch:
+        patch.setattr(difftest_runner, "_judge", recording_judge)
+        with recording(recorder):
+            result = check_source(source, configs, seed=seed)
+    if result.skipped is not None:
+        pytest.skip(f"seed {seed}: {result.skipped}")
+
+    reference = difftest_runner._execute(base, MachineConfig(), poison=False)
+    baseline_spill = {}
+    expected, verdicts = {}, []
+    for config in configs:
+        try:
+            program, machine = compile_config(base, config)
+        except Exception:
+            verdicts.append((config.name, "compile_error"))
+            continue
+        try:
+            outcome = difftest_runner._execute(program, machine, poison=True)
+        except SimulationError:
+            verdicts.append((config.name, "trap"))
+            continue
+        expected[config] = outcome
+        verdict = judge(config, outcome, reference, baseline_spill)
+        if verdict is not None:
+            verdicts.append((config.name, verdict.kind, verdict.detail))
+    assert {c: _fields(o) for c, o in seen.items()} == \
+        {c: _fields(o) for c, o in expected.items()}
+    judged = {c.name for c in seen}
+    assert [(d.config, d.kind, d.detail) if d.config in judged
+            else (d.config, d.kind) for d in result.divergences] == verdicts
+    return recorder.counters
+
+
+@pytest.mark.parametrize("seed", [1, 4, 9])
+def test_shared_verification_and_runs_equal_from_scratch(seed, monkeypatch):
+    counters = _check_sharing(seed, monkeypatch)
+    # the lattice really shares: many of its configs finish as the same
+    # bytes (e.g. a post-pass program whose spills fit at 512 and 1024)
+    assert counters.get("stages.verify.shared", 0) > 0
+    assert counters.get("stages.run.shared", 0) > 0
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("seed", range(200))
+def test_shared_verification_and_runs_sweep(seed, monkeypatch):
+    _check_sharing(seed, monkeypatch)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_request_shares_runs_and_equals_from_scratch(scratch_rows, jobs):
+    """Both CCM sizes in one request (``harness all``): each workload's
+    job shares verification and runs between its cells, and every row
+    still equals the from-scratch compile."""
+    runner = ExperimentRunner(jobs=jobs, trace=True)
+    runner.run_cells(CELLS, ROUTINES)
+    rows = {key: runner.run(*key).to_json() for key in scratch_rows}
+    assert rows == scratch_rows
+    # the baseline is the same program at 512 and 1024 bytes
+    assert runner.stats.trace["stages.verify.shared"] >= len(ROUTINES)
+    assert runner.stats.trace["stages.run.shared"] >= len(ROUTINES)
+
+
+def _integrated_with_ccm(seed=3):
+    """A stage cache whose integrated program at 1024 bytes uses the
+    CCM, that program and its CCM end."""
+    cache = StageCache(compile_source(generate_source(seed)))
+    machine = replace(SMALL, ccm_bytes=1024)
+    prog = cache.compile(machine, "integrated")
+    _, ccm_end = program_key(prog)
+    assert ccm_end > 0
+    return cache, machine, prog, ccm_end
+
+
+def _widen_integrated_intervals(cache):
+    """Let every stored integrated allocation serve every CCM size, so
+    the cache hands out the same bytes at a size they do not fit."""
+    for per_function in cache._integrated.values():
+        for allocations in per_function.values():
+            allocations[:] = [((0, None), fn) for _, fn in allocations]
+
+
+def test_same_bytes_below_ccm_end_still_fail_verification():
+    cache, machine, prog, ccm_end = _integrated_with_ccm()
+    _widen_integrated_intervals(cache)
+    recorder = TraceRecorder()
+    with recording(recorder):
+        same = cache.compile(replace(machine, ccm_bytes=ccm_end),
+                             "integrated")
+        assert program_key(same)[0] == program_key(prog)[0]
+        with pytest.raises(VerificationError,
+                           match=f"{ccm_end - 1}-byte CCM"):
+            cache.compile(replace(machine, ccm_bytes=ccm_end - 1),
+                          "integrated")
+    assert recorder.counters["stages.verify.shared"] == 1
+
+
+def test_run_not_shared_at_or_below_recorded_ccm_offset():
+    cache, machine, prog, _ = _integrated_with_ccm()
+    first = cache.run(prog, machine, poison=True)
+    touched = first.result.stats.max_ccm_offset
+    assert touched >= 0
+    recorder = TraceRecorder()
+    with recording(recorder):
+        above = cache.run(prog, replace(machine, ccm_bytes=touched + 1),
+                          poison=True)
+        assert above is first
+        # at the recorded offset the bounds trap fires: a fresh run
+        with pytest.raises(SimulationError, match="exceeds"):
+            cache.run(prog, replace(machine, ccm_bytes=touched),
+                      poison=True)
+    assert recorder.counters["stages.run.shared"] == 1
+
+
+def test_runs_differing_in_machine_or_arguments_never_share():
+    cache, machine, prog, _ = _integrated_with_ccm()
+    first = cache.run(prog, machine, poison=True)
+    recorder = TraceRecorder()
+    with recording(recorder):
+        for other in (cache.run(prog, machine, poison=False),
+                      cache.run(prog, replace(machine, memory_latency=3),
+                                poison=True),
+                      cache.run(prog, machine, poison=True, engine="interp"),
+                      cache.run(prog, machine, fuel=10 ** 6, poison=True),
+                      cache.run(prog.clone(), machine, poison=True)):
+            assert other is not first
+    assert recorder.counters.get("stages.run.shared", 0) == 0
+    assert recorder.counters["sim.runs"] == 5
+
+
+def test_traps_are_never_shared():
+    source = ("func main(): int {\n  var a: int = 0\n"
+              "  return 1 / (a & 1)\n}\n")
+    cache = StageCache(compile_source(source))
+    prog = cache.compile(SMALL, "baseline", optimize=False)
+    recorder = TraceRecorder()
+    with recording(recorder):
+        runs = [cache.run(prog, SMALL, poison=True) for _ in range(2)]
+    assert all(run.result is None and run.trap.kind == "trap"
+               for run in runs)
+    assert str(runs[0].trap) == str(runs[1].trap)
+    assert recorder.counters.get("stages.run.shared", 0) == 0
+
+
+#: configs that finish as the same bytes for the fault seed, so a
+#: faulted cell could otherwise reuse a run recorded under its
+#: unfaulted key
+FAULT_CONFIGS = [DiffConfig(variant, False, compaction, ccm)
+                 for variant in ("baseline", "postpass")
+                 for compaction in (False, True) for ccm in (512, 1024)]
+
+
+@pytest.mark.parametrize("fault_name", sorted(FAULTS))
+def test_every_fault_is_caught_in_a_shared_lattice(fault_name):
+    """A faulted cell never shares a run, so each fault flags exactly the
+    configs it flags when every config is checked on its own."""
+    source = generate_source(0)
+    fault = get_fault(fault_name)
+    recorder = TraceRecorder()
+    with recording(recorder):
+        shared = check_source(source, FAULT_CONFIGS, fault=fault)
+    assert "stages.run.shared" not in recorder.counters
+    alone = [d for config in FAULT_CONFIGS
+             for d in check_source(source, [config],
+                                   fault=fault).divergences]
+    assert alone, f"oracle missed injected fault {fault_name}"
+    assert [(d.config, d.kind, d.detail) for d in shared.divergences] == \
+        [(d.config, d.kind, d.detail) for d in alone]

@@ -11,9 +11,11 @@ invalidation) with literal expected values.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from repro.difftest import config_lattice
+from repro.difftest import config_lattice, run_fuzz
 from repro.difftest.runner import _lattice_descriptor
 from repro.exec import ArtifactCache
 from repro.ir import PhysReg, RegClass, parse_program
@@ -554,6 +556,18 @@ entry:
         assert recorder.counters.get("sim.decode.functions", 0) >= 1
         assert recorder.counters.get("sim.decode.reused", 0) >= 1
 
+    def test_decode_caches_empty_once_functions_are_freed(self):
+        # a decoded form must not keep its Function alive: the per-
+        # Function map is weak-keyed, so a back-reference from a value to
+        # its key would keep every simulated function of a sweep alive
+        predecode._DECODE_CACHE.clear()
+        predecode._DECODE_BY_CONTENT.clear()
+        report = run_fuzz([1, 2, 3], jobs=1)
+        assert report.seeds_run == 3
+        gc.collect()
+        assert len(predecode._DECODE_CACHE) == 0
+        assert len(predecode._DECODE_BY_CONTENT) == 0
+
 
 class TestEngineSelection:
     def test_default_engine_matches_module_default(self):
@@ -608,13 +622,14 @@ entry:
     def test_fingerprint_distinguishes_virtual_from_physical(self):
         # %v0 and r0 hash identically on purpose (allocator
         # tie-breaking pins the register hash), and register allocation
-        # rewrites one into the other in place — the fingerprint must
-        # not let a pre-allocation decode serve post-allocation code
-        from repro.machine.predecode import _fingerprint
+        # rewrites one into the other in place — the content key the
+        # decode cache validates with must not let a pre-allocation
+        # decode serve post-allocation code
+        from repro.ir import function_key
 
         virt = parse_program(TRIVIAL).functions["main"]
         phys = parse_program(TRIVIAL.replace("%v0", "r0")).functions["main"]
-        assert _fingerprint(virt) != _fingerprint(phys)
+        assert function_key(virt)[0] != function_key(phys)[0]
         dv = decode_function(virt, MachineConfig(), False)
         dp = decode_function(phys, MachineConfig(), False)
         assert dv is not dp
